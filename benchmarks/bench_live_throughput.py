@@ -73,6 +73,7 @@ from repro.experiments.scenario import ScenarioConfig
 from repro.runner.live import make_live_cluster
 from repro.runtime import DEFAULT_RING_BYTES
 from repro.version import __version__
+from versioncheck import report_output_version
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_live_throughput.json"
@@ -317,21 +318,6 @@ def check(report: dict, args: argparse.Namespace) -> list[str]:
     return failures
 
 
-def check_output_version(output_path: Path) -> list[str]:
-    """Assert the committed ``--output`` JSON matches the current version."""
-    if not output_path.exists():
-        return []
-    committed = json.loads(output_path.read_text())
-    committed_version = committed.get("version")
-    if committed_version is not None and committed_version != __version__:
-        return [
-            f"committed {output_path.name} was generated by version "
-            f"{committed_version} but the repo is at {__version__}; re-run the "
-            f"benchmark and commit the refreshed JSON"
-        ]
-    return []
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -367,12 +353,7 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.check_output_version:
-        failures = check_output_version(args.output)
-        for failure in failures:
-            print(f"[bench] FAIL: {failure}", file=sys.stderr)
-        if not failures:
-            print(f"[bench] OK: {args.output.name} matches version {__version__}")
-        return 1 if failures else 0
+        return report_output_version(args.output)
 
     failures = []
     report = run_matrix(args)

@@ -72,6 +72,7 @@ from repro.crypto.threshold import ThresholdScheme, set_batch_verify_default
 from repro.experiments.scenario import build_spread_fault_config
 from repro.runner import Campaign, Sweep
 from repro.version import __version__
+from versioncheck import check_output_version
 
 BACKENDS = ("hashing", "counting")
 FULL_NS = (4, 16, 64, 128, 256, 512, 1024)
@@ -258,29 +259,6 @@ def check_baseline(scenario_rows, baseline_path: Path, run_mode: str) -> list[st
                 "(a deliberate trace change needs --write-baseline)"
             )
     return failures
-
-
-def check_output_version(output_path: Path) -> list[str]:
-    """Assert the committed ``--output`` JSON was generated by this version.
-
-    Catches the staleness failure mode where the repo version moves on but
-    ``BENCH_scaling.json`` is never re-run: the committed document carries
-    the version that produced it, so a mismatch means the numbers describe
-    an older codebase.  A missing or unparseable file is not a failure —
-    the run about to complete will (re)write it.
-    """
-    try:
-        committed = json.loads(output_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return []
-    committed_version = committed.get("version")
-    if committed_version is not None and committed_version != __version__:
-        return [
-            f"committed {output_path} was generated by version {committed_version} "
-            f"but the repo is at {__version__}; re-run the benchmark and commit "
-            "the refreshed JSON"
-        ]
-    return []
 
 
 def check(scenario_rows, per_n, ns, min_crypto_speedup, quick) -> dict[str, Any]:

@@ -57,6 +57,7 @@ from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.runner.live import make_live_cluster, run_live_scenario
 from repro.runner.workload import WorkloadConfig, kv_state_digests
 from repro.version import __version__
+from versioncheck import report_output_version
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_throughput.json"
@@ -117,7 +118,7 @@ def run_parity_cell(n: int, seed: int) -> dict:
     sim_ledgers = {pid: r.ledger.block_ids for pid, r in sim.replicas.items()}
     live_ledgers = {pid: r.ledger.block_ids for pid, r in live.replicas.items()}
     sim_digests = kv_state_digests(sim.replicas.values())
-    live_digests = live.kv_state_digests()
+    live_digests = live.kv_digests()
     return {
         "n": n,
         "seed": seed,
@@ -283,21 +284,6 @@ def check(report: dict, args: argparse.Namespace) -> list[str]:
     return failures
 
 
-def check_output_version(output_path: Path) -> list[str]:
-    """Assert the committed ``--output`` JSON matches the current version."""
-    if not output_path.exists():
-        return []
-    committed = json.loads(output_path.read_text())
-    committed_version = committed.get("version")
-    if committed_version is not None and committed_version != __version__:
-        return [
-            f"committed {output_path.name} was generated by version "
-            f"{committed_version} but the repo is at {__version__}; re-run the "
-            f"benchmark and commit the refreshed JSON"
-        ]
-    return []
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -322,12 +308,7 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.check_output_version:
-        failures = check_output_version(args.output)
-        for failure in failures:
-            print(f"[bench] FAIL: {failure}", file=sys.stderr)
-        if not failures:
-            print(f"[bench] OK: {args.output.name} matches version {__version__}")
-        return 1 if failures else 0
+        return report_output_version(args.output)
 
     failures = []
     report = run_report(args)

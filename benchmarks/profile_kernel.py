@@ -18,6 +18,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/profile_kernel.py           # n=512 report
     PYTHONPATH=src python benchmarks/profile_kernel.py --quick   # CI: n=16
+    PYTHONPATH=src python benchmarks/profile_kernel.py --check-output-version
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import Any
 
 from repro.experiments.scenario import build_spread_fault_config, run_scenario
 from repro.version import __version__
+from versioncheck import report_output_version
 
 
 def profile_scenario(n: int, duration: float, backend: str, seed: int):
@@ -99,7 +101,12 @@ def main(argv=None) -> int:
     parser.add_argument("--output", type=Path,
                         default=Path(__file__).resolve().parent.parent
                         / "BENCH_kernel_profile.json")
+    parser.add_argument("--check-output-version", action="store_true",
+                        help="only check that the committed --output JSON was "
+                             "generated by this version (no profile run), then exit")
     args = parser.parse_args(argv)
+    if args.check_output_version:
+        return report_output_version(args.output)
 
     n = args.n if args.n is not None else (16 if args.quick else 512)
     duration = args.duration if args.duration is not None else (15.0 if args.quick else 10.0)

@@ -50,12 +50,9 @@ _LIVE_EXPORTS = frozenset(
         "LiveRunResult",
         "TcpCluster",
         "build_live_scenario",
-        "execute_live_cell",
         "make_live_cluster",
         "run_live_scenario",
         "run_live_scenario_async",
-        "run_process_scenario",
-        "run_process_scenario_async",
     }
 )
 
@@ -97,14 +94,11 @@ __all__ = [
     "build_live_scenario",
     "config_fingerprint",
     "execute_cell",
-    "execute_live_cell",
     "kv_apply_chains",
     "kv_state_digests",
     "make_live_cluster",
     "run_campaign",
     "run_live_scenario",
     "run_live_scenario_async",
-    "run_process_scenario",
-    "run_process_scenario_async",
     "spec_key",
 ]

@@ -11,10 +11,15 @@ discrete-event simulator:
   simulator's decisions and ledgers exactly); pass a
   :class:`~repro.runtime.asyncio_runtime.MonotonicClock` for wall-clock
   pacing.
-* :class:`TcpCluster` — n nodes over real TCP sockets on localhost, each
-  with its own :class:`~repro.runtime.tcp.TcpTransport` and runtime,
-  sharing one wall clock so metrics land on one timeline.
-* :class:`LiveExecutor` / :func:`execute_live_cell` — the ``"live"``
+* :class:`NodeGroup` — the one build, start and teardown sequence for the
+  live nodes of a list of pids, each with its own transport and runtime.
+  :class:`TcpCluster` is one group over every pid, on real TCP sockets on
+  localhost; each :class:`~repro.runner.process_cluster.ProcessCluster`
+  worker runs one group over its shard.
+* :class:`ClusterView` — the cross-node safety and KV views
+  (``ledgers_are_consistent``, ``kv_digests``, ``kv_chains``,
+  ``kv_consistent``) shared by both clusters and :class:`LiveRunResult`.
+* :class:`LiveExecutor` — the frozen lane descriptor and ``"live"``
   campaign backend: a :class:`~repro.runner.campaign.Campaign` sweeps
   live-cluster cells exactly like simulated ones, producing the same
   picklable :class:`~repro.runner.record.RunRecord` rows (cache keys are
@@ -37,11 +42,11 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from repro.adversary.corruption import CorruptionPlan
 from repro.config import ProtocolConfig
-from repro.consensus.ledger import ledgers_consistent
+from repro.consensus.ledger import sequences_consistent
 from repro.consensus.replica import Replica
 from repro.crypto.backend import CryptoBackend, make_backend, set_default_backend
 from repro.crypto.signatures import PKI
@@ -62,15 +67,16 @@ from repro.runtime import (
     LocalTransport,
     MonotonicClock,
     RuntimeContext,
+    ShmTransport,
     TcpTransport,
     Transport,
-    VirtualClock,
     WireCodec,
     adapt_schedule,
     track_downtime,
 )
 from repro.sim.network import DelayModel
 from repro.sim.tracing import TraceRecorder
+from repro.statemachine.kvstore import apply_chains_consistent
 
 #: How far behind zero a replica's local clock is re-anchored immediately
 #: before ``start()`` on wall-clock runs.  Under the simulator, construction
@@ -90,9 +96,21 @@ def _start_replicas(replicas: dict[int, Replica], wall: bool) -> None:
         replicas[pid].start()
 
 
-def _build_protocol_stack(
-    config: ScenarioConfig,
-) -> tuple[ProtocolConfig, CryptoBackend, CorruptionPlan, MetricsCollector, PKI, dict, ThresholdScheme, TraceRecorder, Optional[DelayModel]]:
+class _ProtocolStack(NamedTuple):
+    """The runtime-independent objects every node of a live run shares."""
+
+    protocol_config: ProtocolConfig
+    crypto_backend: CryptoBackend
+    corruption: CorruptionPlan
+    metrics: MetricsCollector
+    pki: PKI
+    signing_keys: dict
+    scheme: ThresholdScheme
+    trace: TraceRecorder
+    delay_model: Optional[DelayModel]
+
+
+def _build_protocol_stack(config: ScenarioConfig) -> _ProtocolStack:
     """The runtime-independent half of scenario construction.
 
     Resolves a named scenario to its ``(delay_model, corruption)`` effect
@@ -125,34 +143,28 @@ def _build_protocol_stack(
     pki, signing_keys = PKI.setup(protocol_config.processor_ids, backend=crypto_backend)
     scheme = ThresholdScheme(pki)
     trace = TraceRecorder(enabled=config.record_trace)
-    return (
+    return _ProtocolStack(
         protocol_config, crypto_backend, corruption, metrics, pki, signing_keys,
         scheme, trace, delay_model,
     )
 
 
 def _make_replica(
-    pid: int,
-    ctx: RuntimeContext,
-    config: ScenarioConfig,
-    protocol_config: ProtocolConfig,
-    pki: PKI,
-    signing_keys: dict,
-    scheme: ThresholdScheme,
-    metrics: MetricsCollector,
-    corruption: CorruptionPlan,
+    pid: int, ctx: RuntimeContext, config: ScenarioConfig, stack: _ProtocolStack
 ) -> Replica:
-    factory = make_pacemaker_factory(config.pacemaker, protocol_config, config.pacemaker_config)
+    factory = make_pacemaker_factory(
+        config.pacemaker, stack.protocol_config, config.pacemaker_config
+    )
     replica = Replica(
         pid=pid,
         ctx=ctx,
-        config=protocol_config,
-        pki=pki,
-        signing_key=signing_keys[pid],
-        scheme=scheme,
+        config=stack.protocol_config,
+        pki=stack.pki,
+        signing_key=stack.signing_keys[pid],
+        scheme=stack.scheme,
         pacemaker_factory=factory,
-        metrics=metrics,
-        behaviour=corruption.behaviour_for(pid),
+        metrics=stack.metrics,
+        behaviour=stack.corruption.behaviour_for(pid),
     )
     if config.workload is not None:
         # Every live lane builds replicas here — inline clusters, TCP nodes
@@ -164,21 +176,79 @@ def _make_replica(
     return replica
 
 
+@dataclass(frozen=True)
+class KVSnapshot:
+    """A node's replicated-KV digest and apply chain, shipped out of its
+    process; it stands in for the node's state machine in the cluster views."""
+
+    state_digest: str
+    apply_chain: tuple[str, ...]
+
+    def digest(self) -> str:
+        return self.state_digest
+
+
+class ClusterView:
+    """The cross-node safety and KV views of every live cluster and result.
+
+    The views read two accessors, :attr:`ledger_ids` (pid → committed block
+    ids, over the pids the safety check covers) and :meth:`_state_machines`
+    (pid → the node's replicated KV or its shipped :class:`KVSnapshot`).
+    By default both read every replica of ``self.replicas``; a class whose
+    ledgers live in other processes, or whose check covers fewer pids,
+    overrides them.
+    """
+
+    replicas: Mapping[int, Replica]
+
+    @property
+    def ledger_ids(self) -> Mapping[int, Sequence[str]]:
+        """Committed block ids by pid."""
+        return {pid: replica.ledger.block_ids for pid, replica in self.replicas.items()}
+
+    def _state_machines(self) -> Mapping[int, Any]:
+        return {
+            pid: replica.state_machine
+            for pid, replica in self.replicas.items()
+            if replica.state_machine is not None
+        }
+
+    def ledgers_are_consistent(self) -> bool:
+        """Safety: the covered ledgers are pairwise prefix-consistent."""
+        return sequences_consistent(self.ledger_ids.values())
+
+    def kv_digests(self) -> dict[int, str]:
+        """Per-node KV state digests (empty without a client workload)."""
+        return {pid: kv.digest() for pid, kv in self._state_machines().items()}
+
+    def kv_chains(self) -> dict[int, tuple[str, ...]]:
+        """Per-node KV apply chains (empty without a client workload)."""
+        return {pid: kv.apply_chain for pid, kv in self._state_machines().items()}
+
+    def kv_consistent(self) -> bool:
+        """State-machine safety: the apply chains are prefix-consistent.
+
+        Trivially true without a workload (no chains to disagree).
+        """
+        return apply_chains_consistent(self.kv_chains().values())
+
+
 @dataclass
-class LiveRunResult:
+class LiveRunResult(ClusterView):
     """The outcome of one live (asyncio-runtime) run.
 
     The live sibling of
     :class:`~repro.experiments.scenario.ScenarioResult`: same summaries and
     safety helpers, with the runtime and transport in place of the
-    simulator and network.
+    simulator and network.  The ledger check covers the honest replicas;
+    the KV views cover every replica.
 
     Multi-process runs (:class:`~repro.runner.process_cluster.ProcessCluster`)
     produce the same result type from merged shard reports: there the
     coordinator holds no replicas, runtime or transport (they lived and died
     in the node processes), so ``replicas`` is empty, ``runtime`` and
-    ``transport`` are ``None``, and the ledger/event accessors answer from
-    ``ledger_block_ids`` / ``events`` instead.
+    ``transport`` are ``None``, and the views answer from
+    ``ledger_block_ids`` / ``kv_snapshots`` / ``events`` instead.
     """
 
     config: ScenarioConfig
@@ -195,10 +265,9 @@ class LiveRunResult:
     ledger_block_ids: Optional[dict[int, tuple[str, ...]]] = None
     #: Runtime-event total for results without a local runtime.
     events: Optional[int] = None
-    #: KV state digests / apply chains shipped from node processes
-    #: (``None`` whenever ``replicas`` is populated or no workload ran).
-    kv_digests: Optional[dict[int, str]] = None
-    kv_chains: Optional[dict[int, tuple[str, ...]]] = None
+    #: KV snapshots shipped from node processes (``None`` whenever
+    #: ``replicas`` is populated).
+    kv_snapshots: Optional[dict[int, KVSnapshot]] = None
 
     # ------------------------------------------------------------------
     # Summaries
@@ -223,52 +292,16 @@ class LiveRunResult:
     # Safety / liveness helpers
     # ------------------------------------------------------------------
     @property
-    def honest_replicas(self) -> list[Replica]:
-        """Replicas that were never corrupted (empty for multi-process runs)."""
-        return [r for pid, r in sorted(self.replicas.items()) if pid in self.corruption.honest_ids]
+    def ledger_ids(self) -> dict[int, Sequence[str]]:
+        """Committed block ids per honest pid, from replicas or shipped ids."""
+        ledgers = super().ledger_ids if self.replicas else self.ledger_block_ids or {}
+        honest = self.corruption.honest_ids
+        return {pid: ids for pid, ids in sorted(ledgers.items()) if pid in honest}
 
-    def _honest_ledger_ids(self) -> list[list[str]]:
-        """Honest committed-id sequences, from replicas or shipped ids."""
+    def _state_machines(self) -> Mapping[int, Any]:
         if self.replicas:
-            return [replica.ledger.block_ids for replica in self.honest_replicas]
-        if self.ledger_block_ids is None:
-            return []
-        return [
-            list(ids)
-            for pid, ids in sorted(self.ledger_block_ids.items())
-            if pid in self.corruption.honest_ids
-        ]
-
-    def ledgers_are_consistent(self) -> bool:
-        """Safety: honest ledgers are pairwise prefix-consistent."""
-        from repro.consensus.ledger import sequences_consistent
-
-        return sequences_consistent(self._honest_ledger_ids())
-
-    def kv_state_digests(self) -> dict[int, str]:
-        """Per-replica KV state digests (empty without a workload)."""
-        if self.replicas:
-            from repro.runner.workload import kv_state_digests
-
-            return kv_state_digests(self.replicas.values())
-        return dict(self.kv_digests or {})
-
-    def kv_apply_chains(self) -> dict[int, tuple[str, ...]]:
-        """Per-replica KV apply chains (empty without a workload)."""
-        if self.replicas:
-            from repro.runner.workload import kv_apply_chains
-
-            return kv_apply_chains(self.replicas.values())
-        return dict(self.kv_chains or {})
-
-    def kv_consistent(self) -> bool:
-        """State-machine safety: apply chains are prefix-consistent.
-
-        Trivially true without a workload (no chains to disagree).
-        """
-        from repro.statemachine.kvstore import apply_chains_consistent
-
-        return apply_chains_consistent(self.kv_apply_chains().values())
+            return super()._state_machines()
+        return self.kv_snapshots or {}
 
     def honest_decisions(self) -> int:
         """Number of QCs produced by honest leaders during the run."""
@@ -276,13 +309,16 @@ class LiveRunResult:
 
     def committed_blocks(self) -> int:
         """Length of the longest honest ledger."""
-        lengths = [len(ids) for ids in self._honest_ledger_ids()]
-        return max(lengths) if lengths else 0
+        return max((len(ids) for ids in self.ledger_ids.values()), default=0)
 
     def max_honest_view(self) -> int:
-        """The highest view any honest replica entered."""
-        views = [self.metrics.max_view_entered(r.pid) for r in self.honest_replicas]
-        return max(views) if views else -1
+        """The highest view any honest replica entered.
+
+        Read from the metrics, which multi-process results merge from every
+        node process.
+        """
+        views = [self.metrics.max_view_entered(pid) for pid in self.corruption.honest_ids]
+        return max(views, default=-1)
 
     @property
     def fault_counts(self) -> dict[str, int]:
@@ -332,17 +368,8 @@ def build_live_scenario(
     :class:`~repro.runtime.chaos.FaultCounters` to the metrics collector
     and track behaviour-declared downtime windows as kills/restarts.
     """
-    (
-        protocol_config,
-        crypto_backend,
-        corruption,
-        metrics,
-        pki,
-        signing_keys,
-        scheme,
-        trace,
-        delay_model,
-    ) = _build_protocol_stack(config)
+    stack = _build_protocol_stack(config)
+    delay_model, metrics, trace = stack.delay_model, stack.metrics, stack.trace
     chaotic = (
         delay_model is not None
         or (chaos is not None and chaos.active)
@@ -383,24 +410,22 @@ def build_live_scenario(
     metrics.attach_transport(transport)
     ctx = RuntimeContext(runtime=runtime, trace=trace)
     replicas = {
-        pid: _make_replica(
-            pid, ctx, config, protocol_config, pki, signing_keys, scheme, metrics, corruption
-        )
-        for pid in protocol_config.processor_ids
+        pid: _make_replica(pid, ctx, config, stack)
+        for pid in stack.protocol_config.processor_ids
     }
     if counters is not None:
         metrics.attach_fault_counters(counters)
         track_downtime(runtime, replicas, counters)
     return LiveRunResult(
         config=config,
-        protocol_config=protocol_config,
+        protocol_config=stack.protocol_config,
         metrics=metrics,
         trace=trace,
         replicas=replicas,
-        corruption=corruption,
+        corruption=stack.corruption,
         runtime=runtime,
         transport=transport,
-        crypto_backend=crypto_backend,
+        crypto_backend=stack.crypto_backend,
     )
 
 
@@ -448,14 +473,15 @@ def run_live_scenario(
 
 
 # ----------------------------------------------------------------------
-# TCP cluster (one TcpTransport + runtime per node, shared wall clock)
+# Node groups (one transport + runtime per node, shared clock and metrics)
 # ----------------------------------------------------------------------
 @dataclass
 class TcpNode:
-    """One node of a :class:`TcpCluster`.
+    """One node of a :class:`NodeGroup`.
 
-    ``transport`` is the node's :class:`~repro.runtime.tcp.TcpTransport`,
-    or a :class:`~repro.runtime.chaos.FaultyTransport` wrapping it when the
+    ``transport`` is the node's :class:`~repro.runtime.tcp.TcpTransport`
+    (a :class:`~repro.runtime.shm.ShmTransport` in a shm group), or a
+    :class:`~repro.runtime.chaos.FaultyTransport` wrapping it when the
     cluster runs a chaotic scenario.
     """
 
@@ -465,14 +491,215 @@ class TcpNode:
     replica: Replica
 
 
-class TcpCluster:
+@dataclass(frozen=True)
+class ShardReport:
+    """The picklable residue a stopped :class:`NodeGroup` ships out of its
+    process."""
+
+    pids: tuple[int, ...]
+    metrics_state: dict
+    ledger_ids: dict[int, tuple[str, ...]]
+    events_processed: int
+    messages_sent: int
+    messages_delivered: int
+    frames_dropped: int
+    teardown_errors: tuple[str, ...]
+    #: KV snapshots per pid (empty without a workload).
+    kv: dict[int, KVSnapshot]
+
+
+class NodeGroup(ClusterView):
+    """Build, start, stop and report the live nodes of a list of pids.
+
+    :class:`TcpCluster` is one group over every pid, in the calling
+    process; each :class:`~repro.runner.process_cluster.ProcessCluster`
+    worker runs one group over its shard.  The nodes share one clock,
+    metrics collector and set of fault counters.  The phases match the
+    worker bootstrap's barriers:
+
+    1. :meth:`bind` builds the protocol stack and one transport per pid
+       (:class:`~repro.runtime.tcp.TcpTransport`, or
+       :class:`~repro.runtime.shm.ShmTransport` when ``shm_token`` names
+       the cluster's ring segments), starts their servers and returns the
+       pid → address map;
+    2. :meth:`connect` installs the cluster's address map, wraps each
+       transport in a :class:`~repro.runtime.chaos.FaultyTransport` when
+       the config has a delay model or scenario, builds each node's
+       runtime and replica, starts the transports and arms the fault
+       accounting;
+    3. :meth:`go` starts the replicas;
+    4. :meth:`stop` stops the runtimes and folds each transport's drops
+       and errors; :meth:`report` packs the picklable residue.
+
+    If :meth:`bind` or :meth:`connect` raises, every transport bound so
+    far is closed before the error propagates.
+    """
+
+    def __init__(
+        self,
+        config: ScenarioConfig,
+        pids: Iterable[int],
+        clock: Clock,
+        host: str = "127.0.0.1",
+        codec: Union[WireCodec, str, None] = None,
+        shm_token: Optional[str] = None,
+    ) -> None:
+        self.config = config
+        self.pids = tuple(pids)
+        self.clock = clock
+        self.host = host
+        self.codec = codec
+        self.shm_token = shm_token
+        #: The shared collector; :meth:`bind` installs the run's own.
+        self.metrics = MetricsCollector()
+        self.nodes: dict[int, TcpNode] = {}
+        #: Shared injected-fault totals (``None`` unless the config is
+        #: chaotic and :meth:`connect` has run).
+        self.fault_counters: Optional[FaultCounters] = None
+        #: Transport errors surfaced at :meth:`stop` (per-node
+        #: ``last_errors``, prefixed with the node id).
+        self.teardown_errors: list[str] = []
+        #: Frames the transports lost, summed at :meth:`stop` (live totals
+        #: are on the transports).
+        self.frames_dropped = 0
+        self._stack: Optional[_ProtocolStack] = None
+        self._bound: dict[int, Transport] = {}
+        self._torn_down = False
+
+    async def bind(self) -> dict[int, tuple[str, int]]:
+        """Build the stack and transports and start the servers (a shm
+        node's server is its UDP doorbell); returns pid → address."""
+        self._stack = _build_protocol_stack(self.config)
+        self.metrics = self._stack.metrics
+        if self.shm_token is not None:
+            self._bound = {
+                pid: ShmTransport(pid, token=self.shm_token, codec=self.codec, host=self.host)
+                for pid in self.pids
+            }
+        else:
+            self._bound = {
+                pid: TcpTransport(pid, host=self.host, codec=self.codec) for pid in self.pids
+            }
+        addresses = {}
+        try:
+            for pid, transport in self._bound.items():
+                addresses[pid] = await transport.start_server()
+        except BaseException:
+            await self._close()
+            raise
+        return addresses
+
+    def key_fingerprint(self) -> tuple:
+        """A cross-process comparable summary of the group's key ceremony."""
+        signing_keys = self._stack.signing_keys
+        return tuple((pid, signing_keys[pid].secret_token) for pid in sorted(signing_keys))
+
+    async def connect(self, peers: Mapping[int, tuple[str, int]]) -> None:
+        """Install the address map, build every node and start its transport."""
+        stack = self._stack
+        delay_model, metrics, trace = stack.delay_model, stack.metrics, stack.trace
+        try:
+            for transport in self._bound.values():
+                transport.set_peers(peers)
+            if delay_model is not None or self.config.scenario is not None:
+                self.fault_counters = FaultCounters()
+            for pid, transport in self._bound.items():
+                if delay_model is not None:
+                    # Each node imposes the shared schedule on its *outgoing*
+                    # sends: a hold-then-forward approximation of the simulated
+                    # latency (the real socket or ring adds its own small delay
+                    # on top, so — unlike the single-runtime virtual-clock
+                    # path — this lane makes no bit-exact parity claim).
+                    # Per-node seed offsets mirror the runtimes' seeds.
+                    transport = FaultyTransport(
+                        transport,
+                        schedule=adapt_schedule(delay_model),
+                        network=self.config.network_config(),
+                        schedule_seed=self.config.seed + pid,
+                        counters=self.fault_counters,
+                    )
+                runtime = AsyncioRuntime(
+                    transport, clock=self.clock, trace=trace, seed=self.config.seed + pid
+                )
+                metrics.attach_transport(transport)
+                ctx = RuntimeContext(runtime=runtime, trace=trace)
+                replica = _make_replica(pid, ctx, self.config, stack)
+                self.nodes[pid] = TcpNode(pid, transport, runtime, replica)
+            for node in self.nodes.values():
+                await node.transport.start()
+        except BaseException:
+            await self._close()
+            raise
+        if self.fault_counters is not None:
+            metrics.attach_fault_counters(self.fault_counters)
+            for pid, node in self.nodes.items():
+                track_downtime(node.runtime, {pid: node.replica}, self.fault_counters)
+
+    def go(self) -> None:
+        """Start every replica."""
+        _start_replicas(self.replicas, wall=True)
+
+    async def stop(self) -> None:
+        """Shut every node down (concurrently, so EOFs propagate cleanly).
+
+        Teardown surfaces rather than swallows: each transport's
+        ``last_errors`` are folded into :attr:`teardown_errors` and its
+        ``frames_dropped`` into :attr:`frames_dropped`, so a writer that
+        died holding frames or a pump that crashed mid-run is visible here
+        (and in the run's fault counts) instead of vanishing with the tasks.
+        """
+        await asyncio.gather(*(node.runtime.stop() for node in self.nodes.values()))
+        if self._torn_down:
+            return  # idempotent: don't double-count a second stop()
+        self._torn_down = True
+        for pid, node in sorted(self.nodes.items()):
+            base = getattr(node.transport, "inner", node.transport)
+            self.frames_dropped += base.frames_dropped
+            self.teardown_errors.extend(f"node {pid}: {error}" for error in base.last_errors)
+
+    def report(self) -> ShardReport:
+        """The picklable residue of a stopped group."""
+        nodes = self.nodes.values()
+        return ShardReport(
+            pids=self.pids,
+            metrics_state=self.metrics.state(),
+            ledger_ids={pid: tuple(ids) for pid, ids in self.ledger_ids.items()},
+            events_processed=sum(node.runtime.events_processed for node in nodes),
+            messages_sent=self.messages_sent,
+            messages_delivered=sum(node.transport.messages_delivered for node in nodes),
+            frames_dropped=self.frames_dropped,
+            teardown_errors=tuple(self.teardown_errors),
+            kv={
+                pid: KVSnapshot(kv.digest(), kv.apply_chain)
+                for pid, kv in self._state_machines().items()
+            },
+        )
+
+    @property
+    def replicas(self) -> dict[int, Replica]:
+        """All replicas by pid."""
+        return {pid: node.replica for pid, node in self.nodes.items()}
+
+    @property
+    def messages_sent(self) -> int:
+        """Messages the nodes' transports have sent."""
+        return sum(node.transport.messages_sent for node in self.nodes.values())
+
+    async def _close(self) -> None:
+        """Close every bound transport after a failed phase."""
+        self.nodes.clear()
+        for transport in self._bound.values():
+            await transport.stop()
+
+
+class TcpCluster(NodeGroup):
     """An n-replica Lumiere cluster over real TCP sockets on localhost.
 
-    Bootstrap dance (all inside one event loop, see :meth:`start`):
-    servers are bound first on ephemeral ports, the resulting address map
-    is installed on every node, then runtimes and replicas are built and
-    started.  All nodes share one :class:`MonotonicClock`, so ledger commit
-    times and metrics live on a single timeline.
+    One :class:`NodeGroup` over every pid, inside one event loop:
+    :meth:`start` binds the servers on ephemeral ports, installs the
+    resulting address map on every node, then builds and starts the
+    runtimes and replicas.  All nodes share one :class:`MonotonicClock`, so
+    ledger commit times and metrics live on a single timeline.
 
     Parameters
     ----------
@@ -494,138 +721,23 @@ class TcpCluster:
         config: ScenarioConfig,
         host: str = "127.0.0.1",
         codec: Union[WireCodec, str, None] = None,
-        connect_timeout: float = 10.0,
-        coalesce_writes: bool = True,
     ) -> None:
-        self.config = config
-        self.host = host
-        self.codec = codec
-        self.connect_timeout = connect_timeout
-        self.coalesce_writes = coalesce_writes
-        self.clock = MonotonicClock()
-        self.nodes: dict[int, TcpNode] = {}
-        self.metrics = MetricsCollector()
-        #: Shared injected-fault totals across all nodes (``None`` until a
-        #: chaotic cluster has started).
-        self.fault_counters: Optional[FaultCounters] = None
-        #: Transport errors surfaced at :meth:`stop` (per-node
-        #: ``TcpTransport.last_errors``, prefixed with the node id).
-        self.teardown_errors: list[str] = []
-        #: Total frames lost to exhausted connect windows, cluster-wide
-        #: (aggregated at :meth:`stop`; live totals are on the transports).
-        self.frames_dropped = 0
+        super().__init__(config, range(config.n), MonotonicClock(), host=host, codec=codec)
         self._started = False
-        self._torn_down = False
-        self._stack: Optional[tuple] = None
 
     async def start(self) -> None:
         """Bind servers, exchange addresses, build and start all replicas."""
         if self._started:
             return
-        stack = _build_protocol_stack(self.config)
-        (
-            protocol_config,
-            crypto_backend,
-            corruption,
-            metrics,
-            pki,
-            signing_keys,
-            scheme,
-            trace,
-            delay_model,
-        ) = stack
-        self._stack = stack
-        self.metrics = metrics
-        chaotic = delay_model is not None or self.config.scenario is not None
-        counters = FaultCounters() if chaotic else None
-        tcp_transports = {
-            pid: TcpTransport(
-                pid,
-                host=self.host,
-                codec=self.codec,
-                connect_timeout=self.connect_timeout,
-                coalesce_writes=self.coalesce_writes,
-            )
-            for pid in protocol_config.processor_ids
-        }
-        addresses = {}
-        for pid, transport in tcp_transports.items():
-            addresses[pid] = await transport.start_server()
-        for transport in tcp_transports.values():
-            transport.set_peers(addresses)
-        transports: dict[int, Transport] = dict(tcp_transports)
-        if delay_model is not None:
-            # Each node imposes the shared schedule on its *outgoing* sends:
-            # a hold-then-forward approximation of the simulated latency (the
-            # real socket adds its own small delay on top, so — unlike the
-            # single-runtime virtual-clock path — this lane makes no
-            # bit-exact parity claim).  Per-node seed offsets mirror the
-            # runtimes' seeds.
-            transports = {
-                pid: FaultyTransport(
-                    transport,
-                    schedule=adapt_schedule(delay_model),
-                    network=self.config.network_config(),
-                    schedule_seed=self.config.seed + pid,
-                    counters=counters,
-                )
-                for pid, transport in tcp_transports.items()
-            }
-        replicas: dict[int, Replica] = {}
-        for pid, transport in transports.items():
-            runtime = AsyncioRuntime(
-                transport, clock=self.clock, trace=trace, seed=self.config.seed + pid
-            )
-            metrics.attach_transport(transport)
-            ctx = RuntimeContext(runtime=runtime, trace=trace)
-            replica = _make_replica(
-                pid, ctx, self.config, protocol_config, pki, signing_keys, scheme,
-                metrics, corruption,
-            )
-            replicas[pid] = replica
-            self.nodes[pid] = TcpNode(pid, transport, runtime, replica)
-        for node in self.nodes.values():
-            await node.transport.start()
-        if counters is not None:
-            self.fault_counters = counters
-            metrics.attach_fault_counters(counters)
-            for pid, node in self.nodes.items():
-                track_downtime(node.runtime, {pid: node.replica}, counters)
-        _start_replicas(replicas, wall=True)
+        await self.connect(await self.bind())
+        self.go()
         self._started = True
-
-    @property
-    def replicas(self) -> dict[int, Replica]:
-        """All replicas by pid."""
-        return {pid: node.replica for pid, node in self.nodes.items()}
 
     def min_committed(self) -> int:
         """Length of the shortest ledger across the cluster."""
         if not self.nodes:
             return 0
         return min(len(node.replica.ledger) for node in self.nodes.values())
-
-    def ledgers_are_consistent(self) -> bool:
-        """Safety: all ledgers are pairwise prefix-consistent."""
-        return ledgers_consistent([node.replica.ledger for node in self.nodes.values()])
-
-    def kv_digests(self) -> dict[int, str]:
-        """Per-node KV state digests (empty without a client workload)."""
-        from repro.runner.workload import kv_state_digests
-
-        return kv_state_digests(self.replicas.values())
-
-    def kv_chains(self) -> dict[int, tuple[str, ...]]:
-        """Per-node KV apply chains (empty without a client workload)."""
-        from repro.runner.workload import kv_apply_chains
-
-        return kv_apply_chains(self.replicas.values())
-
-    def kv_consistent(self) -> bool:
-        """State-machine safety: all apply chains are prefix-consistent."""
-        from repro.statemachine.kvstore import apply_chains_consistent
-
-        return apply_chains_consistent(self.kv_chains().values())
 
     async def run(
         self,
@@ -644,26 +756,6 @@ class TcpCluster:
             )
         )
 
-    async def stop(self) -> None:
-        """Shut every node down (concurrently, so EOFs propagate cleanly).
-
-        Teardown surfaces rather than swallows: each transport's
-        ``last_errors`` are folded into :attr:`teardown_errors` and its
-        ``frames_dropped`` into the cluster total, so a writer that died
-        holding frames or a pump that crashed mid-run is visible here (and
-        in the run's fault counts) instead of vanishing with the tasks.
-        """
-        await asyncio.gather(*(node.runtime.stop() for node in self.nodes.values()))
-        if self._torn_down:
-            return  # idempotent: don't double-count a second stop()
-        self._torn_down = True
-        for pid, node in sorted(self.nodes.items()):
-            base = getattr(node.transport, "inner", node.transport)
-            self.frames_dropped += base.frames_dropped
-            self.teardown_errors.extend(
-                f"node {pid}: {error}" for error in base.last_errors
-            )
-
     async def run_until_commits(
         self, blocks: int, timeout: float, poll: float = 0.02
     ) -> int:
@@ -676,10 +768,12 @@ class TcpCluster:
 
 
 # ----------------------------------------------------------------------
-# Placement: inline (one process) vs process (one OS process per node)
+# Lanes: placement (one process vs one OS process per node) and transport
 # ----------------------------------------------------------------------
-#: Valid ``placement`` values for live TCP clusters.
+#: Valid ``placement`` values for live clusters and campaign lanes.
 PLACEMENTS = ("inline", "process")
+#: Valid inter-node fabrics; ``"shm"`` needs process placement.
+TRANSPORTS = ("tcp", "shm")
 
 
 def make_live_cluster(
@@ -688,10 +782,7 @@ def make_live_cluster(
     host: str = "127.0.0.1",
     codec: Union[WireCodec, str, None] = None,
     processes: Optional[int] = None,
-    connect_timeout: float = 10.0,
-    coalesce_writes: bool = True,
     transport: str = "tcp",
-    **kwargs: Any,
 ):
     """Build a live cluster with the requested process placement.
 
@@ -701,186 +792,64 @@ def make_live_cluster(
     :class:`~repro.runner.process_cluster.ProcessCluster` — one spawned OS
     process per node (or per shard of ``processes`` workers), which is the
     multicore lane.  Both expose the same ``start`` / ``run`` /
-    ``run_until_commits`` / ``stop`` / ``min_committed`` surface, so
-    benchmarks and examples switch placement with this one knob.
+    ``run_until_commits`` / ``stop`` / ``min_committed`` surface and the
+    :class:`ClusterView` checks, so benchmarks and examples switch
+    placement with this one knob.
 
     ``processes`` is only meaningful under process placement (inline has
-    exactly one), as is ``transport``: ``"tcp"`` (localhost sockets, the
-    default) or ``"shm"`` (shared-memory rings between the node processes —
-    the faster lane on one machine).  Inline placement has no process
-    boundary to cross, so it always speaks TCP and rejects ``"shm"``.
-    Extra ``kwargs`` go to the chosen cluster's constructor.
+    exactly one), as is ``transport="shm"`` (shared-memory rings between
+    the node processes — the faster lane on one machine); the lane itself
+    is checked by :class:`LiveExecutor`.
     """
-    if transport not in ("tcp", "shm"):
-        raise ConfigurationError(
-            f"unknown transport {transport!r}; available: tcp, shm"
-        )
-    if placement == "inline":
-        if processes is not None:
-            raise ConfigurationError(
-                "processes is a process-placement knob; inline placement "
-                "runs every node in the calling process"
-            )
-        if transport != "tcp":
-            raise ConfigurationError(
-                "transport=\"shm\" is a process-placement knob; inline "
-                "placement shares one heap and has no process boundary for "
-                "shared memory to cross"
-            )
-        return TcpCluster(
-            config, host=host, codec=codec, connect_timeout=connect_timeout,
-            coalesce_writes=coalesce_writes, **kwargs,
-        )
+    LiveExecutor(placement=placement, transport=transport)  # checks the lane
     if placement == "process":
         from repro.runner.process_cluster import ProcessCluster
 
         return ProcessCluster(
-            config, host=host, codec=codec, processes=processes,
-            connect_timeout=connect_timeout, coalesce_writes=coalesce_writes,
-            transport=transport, **kwargs,
+            config, host=host, codec=codec, processes=processes, transport=transport
         )
-    raise ConfigurationError(
-        f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
-    )
+    if processes is not None:
+        raise ConfigurationError(
+            "processes is a process-placement knob; inline placement "
+            "runs every node in the calling process"
+        )
+    return TcpCluster(config, host=host, codec=codec)
 
 
-async def run_process_scenario_async(
-    config: ScenarioConfig,
-    codec: Optional[str] = None,
-    processes: Optional[int] = None,
-    coalesce_writes: bool = True,
-    transport: str = "tcp",
-    stop_when: Optional[Callable[[Any], bool]] = None,
-) -> LiveRunResult:
-    """Run ``config`` on a multi-process cluster to ``config.duration``.
-
-    The process-placement twin of :func:`run_live_scenario_async`.
-    ``duration`` is **wall** seconds (node processes live on a shared
-    monotonic clock; there is no virtual fast path across OS processes),
-    and ``stop_when`` receives the
-    :class:`~repro.runner.process_cluster.ProcessCluster` — use
-    ``min_committed()`` for progress predicates.  The cluster is always
-    stopped and merged, even when the run raises.  ``transport`` selects
-    the inter-node fabric (``"tcp"`` or ``"shm"``).
-    """
+async def _run_process_cell(config: ScenarioConfig, transport: str) -> LiveRunResult:
+    """Run ``config`` on a multi-process cluster for ``config.duration`` wall
+    seconds; the cluster is always stopped and merged, even when the run
+    raises."""
     from repro.runner.process_cluster import ProcessCluster
 
-    cluster = ProcessCluster(
-        config, codec=codec, processes=processes,
-        coalesce_writes=coalesce_writes, transport=transport,
-    )
+    cluster = ProcessCluster(config, transport=transport)
     try:
-        await cluster.run(config.duration, stop_when=stop_when)
+        await cluster.run(config.duration)
     finally:
         await cluster.stop()
     return cluster.result()
 
 
-def run_process_scenario(
-    config: ScenarioConfig,
-    codec: Optional[str] = None,
-    processes: Optional[int] = None,
-    coalesce_writes: bool = True,
-    transport: str = "tcp",
-    stop_when: Optional[Callable[[Any], bool]] = None,
-) -> LiveRunResult:
-    """Blocking wrapper over :func:`run_process_scenario_async` (owns the loop)."""
-    return asyncio.run(
-        run_process_scenario_async(
-            config, codec=codec, processes=processes,
-            coalesce_writes=coalesce_writes, transport=transport,
-            stop_when=stop_when,
-        )
-    )
-
-
 # ----------------------------------------------------------------------
 # Campaign integration: the "live" backend
 # ----------------------------------------------------------------------
-def execute_live_cell(
-    build: Callable[[dict[str, Any]], ScenarioConfig],
-    params: dict[str, Any],
-    run_id: str,
-    key: str,
-    max_events: Optional[int] = None,
-    config: Optional[ScenarioConfig] = None,
-    jitter: float = 0.0,
-    chaos: Optional[ChaosConfig] = None,
-    placement: str = "inline",
-    transport: str = "tcp",
-) -> RunRecord:
-    """Run one campaign cell on the asyncio runtime.
-
-    The live twin of :func:`repro.runner.executor.execute_cell`: same
-    picklable :class:`RunRecord` shape, with ``events_processed`` counted
-    by the runtime.  ``key`` arrives already salted by the campaign layer
-    (``live:`` prefix, plus jitter/chaos/placement/transport knobs when
-    set) so cached live records never shadow simulated ones.
-
-    ``placement="inline"`` (the default) runs the cell in-memory under the
-    virtual clock — the deterministic fast path.  ``placement="process"``
-    runs it on a multi-process cluster instead: real wall time, one OS
-    process per node, over localhost TCP or (``transport="shm"``)
-    shared-memory rings.  Jitter and chaos are inline-transport knobs and
-    are rejected under process placement (a process cell's noise is the
-    real network's); ``transport`` conversely is a process-placement knob.
-    """
-    if placement not in PLACEMENTS:
-        raise ConfigurationError(
-            f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
-        )
-    if transport not in ("tcp", "shm"):
-        raise ConfigurationError(
-            f"unknown transport {transport!r}; available: tcp, shm"
-        )
-    if config is None:
-        config = build(params)
-    started = time.perf_counter()
-    if placement == "process":
-        if jitter:
-            raise ConfigurationError(
-                "jitter is an inline-transport knob; process placement runs "
-                "over real sockets whose latency is not simulated"
-            )
-        if chaos is not None and chaos.active:
-            raise ConfigurationError(
-                "chaos injection applies to inline transports; process "
-                "placement does not support it (use a scenario/delay_model, "
-                "which the node processes impose themselves)"
-            )
-        result = run_process_scenario(config, transport=transport)
-    else:
-        if transport != "tcp":
-            raise ConfigurationError(
-                "transport=\"shm\" is a process-placement knob; inline "
-                "cells share one heap (use placement=\"process\")"
-            )
-        result = run_live_scenario(
-            config, jitter=jitter, max_events=max_events, chaos=chaos
-        )
-    wall_time = time.perf_counter() - started
-    return RunRecord(
-        run_id=run_id,
-        key=key,
-        params=params,
-        summary=result.summary(),
-        metrics=result.run_metrics(),
-        committed_blocks=result.committed_blocks(),
-        max_honest_view=result.max_honest_view(),
-        ledgers_consistent=result.ledgers_are_consistent(),
-        events_processed=result.events_processed,
-        wall_time=wall_time,
-    )
-
-
-@dataclass
+@dataclass(frozen=True)
 class LiveExecutor:
-    """Callable cell executor for the ``"live"`` campaign backend.
+    """One live lane, and the callable cell executor of the ``"live"``
+    campaign backend.
 
     Campaigns use a default instance; construct one explicitly to sweep the
     same grid under transport jitter::
 
         run_campaign(campaign, backend="live", live_executor=LiveExecutor(jitter=0.05))
+
+    The lane is checked when it is built: ``placement="inline"`` (the
+    default) runs each cell in-memory under the virtual clock — the
+    deterministic fast path — and speaks only ``transport="tcp"``;
+    ``placement="process"`` runs it on a multi-process cluster in real
+    wall time, over localhost TCP or (``transport="shm"``) shared-memory
+    rings.  Jitter and chaos are inline-transport knobs and are rejected
+    under process placement (a process cell's noise is the real network's).
     """
 
     #: Uniform jitter band added to every cell's transport latency.
@@ -892,6 +861,34 @@ class LiveExecutor:
     placement: str = "inline"
     #: Inter-node fabric under process placement: ``"tcp"`` or ``"shm"``.
     transport: str = "tcp"
+
+    def __post_init__(self) -> None:
+        if self.placement not in PLACEMENTS:
+            raise ConfigurationError(
+                f"unknown placement {self.placement!r}; expected one of {PLACEMENTS}"
+            )
+        if self.transport not in TRANSPORTS:
+            raise ConfigurationError(
+                f"unknown transport {self.transport!r}; available: {', '.join(TRANSPORTS)}"
+            )
+        if self.placement == "inline":
+            if self.transport != "tcp":
+                raise ConfigurationError(
+                    "transport=\"shm\" is a process-placement knob; inline "
+                    "placement shares one heap and has no process boundary for "
+                    "shared memory to cross (use placement=\"process\")"
+                )
+        elif self.jitter:
+            raise ConfigurationError(
+                "jitter is an inline-transport knob; process placement runs "
+                "over real sockets whose latency is not simulated"
+            )
+        elif self.chaos is not None and self.chaos.active:
+            raise ConfigurationError(
+                "chaos injection applies to inline transports; process "
+                "placement does not support it (use a scenario/delay_model, "
+                "which the node processes impose themselves)"
+            )
 
     @property
     def cache_salt(self) -> str:
@@ -925,8 +922,32 @@ class LiveExecutor:
         max_events: Optional[int] = None,
         config: Optional[ScenarioConfig] = None,
     ) -> RunRecord:
-        return execute_live_cell(
-            build, params, run_id, key, max_events=max_events, config=config,
-            jitter=self.jitter, chaos=self.chaos, placement=self.placement,
-            transport=self.transport,
+        """Run one campaign cell on this lane.
+
+        The live twin of :func:`repro.runner.executor.execute_cell`: same
+        picklable :class:`RunRecord` shape, with ``events_processed``
+        counted by the runtime.  ``key`` arrives already salted with
+        :attr:`cache_salt` by the campaign layer.
+        """
+        if config is None:
+            config = build(params)
+        started = time.perf_counter()
+        if self.placement == "process":
+            result = asyncio.run(_run_process_cell(config, self.transport))
+        else:
+            result = run_live_scenario(
+                config, jitter=self.jitter, max_events=max_events, chaos=self.chaos
+            )
+        wall_time = time.perf_counter() - started
+        return RunRecord(
+            run_id=run_id,
+            key=key,
+            params=params,
+            summary=result.summary(),
+            metrics=result.run_metrics(),
+            committed_blocks=result.committed_blocks(),
+            max_honest_view=result.max_honest_view(),
+            ledgers_consistent=result.ledgers_are_consistent(),
+            events_processed=result.events_processed,
+            wall_time=wall_time,
         )

@@ -8,23 +8,24 @@ the multicore lane: the same replica stack, the same
 ``k`` nodes) boots in its **own spawned OS process** with its own asyncio
 loop and crypto backend, and the parent acts purely as coordinator.
 
-Bootstrap dance (the ``TcpCluster`` dance, stretched over a control pipe):
+Bootstrap dance (the ``TcpCluster`` dance, stretched over a control pipe;
+each worker runs the phases of one :class:`~repro.runner.live.NodeGroup`):
 
 1. the parent spawns one worker per shard (``spawn`` context — fresh
    interpreters, see the key-determinism note below) with a duplex
    :func:`multiprocessing.Pipe` each;
-2. each worker builds the protocol stack, binds its nodes' servers on
-   ephemeral ports and reports ``("addresses", {pid: (host, port)})``;
+2. each worker binds its group (protocol stack, transports, servers on
+   ephemeral ports) and reports ``("addresses", {pid: (host, port)})``;
 3. the parent assembles the full address map and broadcasts it back;
-   workers install it via :meth:`TcpTransport.set_peers`, start their
-   transports, and report ``("ready", ...)``;
+   workers connect their groups to it and report ``("ready",)``;
 4. the parent broadcasts ``("go",)`` and every worker starts its replicas —
    the barrier keeps cross-process start skew at pipe latency rather than
    interpreter-boot latency;
 5. during the run the parent polls ``("status",)`` → per-pid ledger
-   lengths; at shutdown it sends ``("stop",)`` and each worker ships back a
-   picklable :class:`ShardReport` (metrics snapshot, ledger ids, counters,
-   teardown errors), which the parent merges into one cluster-wide
+   lengths; at shutdown it sends ``("stop",)`` and each worker ships back
+   its group's picklable :class:`~repro.runner.live.ShardReport` (metrics
+   snapshot, ledger ids, KV snapshots, counters, teardown errors), which
+   the parent merges into one cluster-wide
    :class:`~repro.runner.live.LiveRunResult`.
 
 **Key determinism.**  Signing keys draw their secrets from a per-process
@@ -56,23 +57,23 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from repro.consensus.ledger import sequences_consistent
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.scenario import ScenarioConfig
 from repro.metrics.collector import MetricsCollector, merge_metrics_states
+from repro.runner.live import (
+    ClusterView,
+    KVSnapshot,
+    LiveExecutor,
+    LiveRunResult,
+    NodeGroup,
+    ShardReport,
+    _build_protocol_stack,
+)
 from repro.runtime import (
     DEFAULT_RING_BYTES,
-    AsyncioRuntime,
-    FaultCounters,
-    FaultyTransport,
     MonotonicClock,
-    RuntimeContext,
-    ShmTransport,
-    TcpTransport,
-    adapt_schedule,
     create_cluster_rings,
     destroy_cluster_rings,
-    track_downtime,
 )
 from repro.sim.tracing import TraceRecorder
 
@@ -80,6 +81,16 @@ from repro.sim.tracing import TraceRecorder
 #: self-destructing — the orphan guard for a coordinator that died without
 #: sending ``("stop",)``.
 WORKER_LIFETIME_MARGIN = 120.0
+#: Seconds between a worker's control-pipe polls (and the coordinator's
+#: polls of a worker's pipe).
+WORKER_POLL = 0.02
+#: Minimum seconds between two coordinator status rounds.
+STATUS_INTERVAL = 0.05
+#: Seconds the coordinator waits for each bootstrap reply of a worker.
+BOOTSTRAP_TIMEOUT = 120.0
+#: Seconds the coordinator waits for a stopping worker's report, and then
+#: for its exit, before terminating it.
+TEARDOWN_TIMEOUT = 30.0
 
 
 # ----------------------------------------------------------------------
@@ -94,36 +105,13 @@ class _ShardSpec:
     host: str
     codec: Optional[str]
     clock_origin: float
-    coalesce_writes: bool
-    connect_timeout: float
-    poll: float
     lifetime: float
-    #: Inter-node fabric: ``"tcp"`` (localhost sockets) or ``"shm"``
-    #: (shared-memory rings; ``shm_token`` names the parent-created
-    #: segments and ``ring_bytes`` their per-pair data capacity).
-    transport: str = "tcp"
+    #: Names the parent-created shared-memory ring segments when the
+    #: cluster runs over ``transport="shm"``; ``None`` means TCP.
     shm_token: Optional[str] = None
-    ring_bytes: int = DEFAULT_RING_BYTES
 
 
-@dataclass(frozen=True)
-class ShardReport:
-    """The picklable residue one worker ships back at shutdown."""
-
-    pids: tuple[int, ...]
-    metrics_state: dict
-    ledger_ids: dict[int, tuple[str, ...]]
-    events_processed: int
-    messages_sent: int
-    messages_delivered: int
-    frames_dropped: int
-    teardown_errors: tuple[str, ...]
-    #: KV state digests / apply chains per pid (empty without a workload).
-    kv_digests: dict[int, str] = field(default_factory=dict)
-    kv_chains: dict[int, tuple[str, ...]] = field(default_factory=dict)
-
-
-async def _pipe_recv(conn, poll: float, timeout: Optional[float] = None):
+async def _pipe_recv(conn, timeout: Optional[float] = None):
     """Await the next control message without blocking the event loop."""
     loop = asyncio.get_running_loop()
     deadline = None if timeout is None else loop.time() + timeout
@@ -132,108 +120,24 @@ async def _pipe_recv(conn, poll: float, timeout: Optional[float] = None):
             return conn.recv()
         if deadline is not None and loop.time() >= deadline:
             raise TimeoutError("control-channel message timed out")
-        await asyncio.sleep(poll)
-
-
-def _key_fingerprint(signing_keys: dict) -> tuple:
-    """Cross-process comparable summary of a shard's key ceremony."""
-    return tuple((pid, signing_keys[pid].secret_token) for pid in sorted(signing_keys))
+        await asyncio.sleep(WORKER_POLL)
 
 
 async def _shard_main(spec: _ShardSpec, conn) -> None:
-    # Imported here (not module top) to keep the coordinator-side import of
-    # this module free of a cycle: repro.runner.live imports ProcessCluster
-    # lazily, and the worker only needs the stack builders at run time.
-    from repro.runner.live import _build_protocol_stack, _make_replica, _start_replicas
-
-    (
-        protocol_config,
-        _crypto_backend,
-        corruption,
-        metrics,
-        pki,
-        signing_keys,
-        scheme,
-        trace,
-        delay_model,
-    ) = _build_protocol_stack(spec.config)
-    chaotic = delay_model is not None or spec.config.scenario is not None
-    counters = FaultCounters() if chaotic else None
-    if spec.transport == "shm":
-        assert spec.shm_token is not None, "shm transport needs a cluster token"
-        node_transports: dict[int, Any] = {
-            pid: ShmTransport(
-                pid,
-                token=spec.shm_token,
-                codec=spec.codec,
-                ring_bytes=spec.ring_bytes,
-                host=spec.host,
-            )
-            for pid in spec.pids
-        }
-    else:
-        node_transports = {
-            pid: TcpTransport(
-                pid,
-                host=spec.host,
-                codec=spec.codec,
-                connect_timeout=spec.connect_timeout,
-                coalesce_writes=spec.coalesce_writes,
-            )
-            for pid in spec.pids
-        }
-    addresses = {}
-    for pid, transport in node_transports.items():
-        # For shm the "address" is the node's UDP doorbell; the bootstrap
-        # exchange is byte-for-byte the same dance either way.
-        addresses[pid] = await transport.start_server()
-    conn.send(("addresses", addresses, _key_fingerprint(signing_keys)))
-
-    kind, peers = await _pipe_recv(conn, spec.poll, timeout=spec.lifetime)
+    group = NodeGroup(
+        spec.config, spec.pids, MonotonicClock(origin=spec.clock_origin),
+        host=spec.host, codec=spec.codec, shm_token=spec.shm_token,
+    )
+    # For shm the "addresses" are the nodes' UDP doorbells; the bootstrap
+    # exchange is byte-for-byte the same dance either way.
+    conn.send(("addresses", await group.bind(), group.key_fingerprint()))
+    kind, peers = await _pipe_recv(conn, timeout=spec.lifetime)
     assert kind == "peers", f"unexpected bootstrap message {kind!r}"
-    for transport in node_transports.values():
-        transport.set_peers(peers)
-
-    transports: dict[int, Any] = dict(node_transports)
-    if delay_model is not None:
-        # Same hold-then-forward approximation as TcpCluster: each node
-        # imposes the shared schedule on its outgoing sends, seeded per pid.
-        transports = {
-            pid: FaultyTransport(
-                transport,
-                schedule=adapt_schedule(delay_model),
-                network=spec.config.network_config(),
-                schedule_seed=spec.config.seed + pid,
-                counters=counters,
-            )
-            for pid, transport in node_transports.items()
-        }
-
-    clock = MonotonicClock(origin=spec.clock_origin)
-    runtimes: dict[int, AsyncioRuntime] = {}
-    replicas: dict[int, Any] = {}
-    for pid, transport in transports.items():
-        runtime = AsyncioRuntime(
-            transport, clock=clock, trace=trace, seed=spec.config.seed + pid
-        )
-        metrics.attach_transport(transport)
-        ctx = RuntimeContext(runtime=runtime, trace=trace)
-        replicas[pid] = _make_replica(
-            pid, ctx, spec.config, protocol_config, pki, signing_keys, scheme,
-            metrics, corruption,
-        )
-        runtimes[pid] = runtime
-    for transport in transports.values():
-        await transport.start()
-    if counters is not None:
-        metrics.attach_fault_counters(counters)
-        for pid, runtime in runtimes.items():
-            track_downtime(runtime, {pid: replicas[pid]}, counters)
-
+    await group.connect(peers)
     conn.send(("ready",))
-    kind, = await _pipe_recv(conn, spec.poll, timeout=spec.lifetime)
+    kind, = await _pipe_recv(conn, timeout=spec.lifetime)
     assert kind == "go", f"unexpected bootstrap message {kind!r}"
-    _start_replicas(replicas, wall=True)
+    group.go()
 
     # Serve the control channel until told to stop (or until the orphan
     # guard fires).  Replicas run entirely on loop timers and transport
@@ -242,13 +146,13 @@ async def _shard_main(spec: _ShardSpec, conn) -> None:
     deadline = loop.time() + spec.lifetime
     stopping = False
     while not stopping and loop.time() < deadline:
-        await asyncio.sleep(spec.poll)
+        await asyncio.sleep(WORKER_POLL)
         try:
             while conn.poll():
                 message = conn.recv()
                 if message[0] == "status":
                     conn.send(
-                        ("status", {pid: len(r.ledger) for pid, r in replicas.items()})
+                        ("status", {pid: len(r.ledger) for pid, r in group.replicas.items()})
                     )
                 elif message[0] == "stop":
                     stopping = True
@@ -256,36 +160,9 @@ async def _shard_main(spec: _ShardSpec, conn) -> None:
         except (EOFError, OSError):
             stopping = True  # coordinator went away: tear down and exit
 
-    for runtime in runtimes.values():
-        await runtime.stop()
-    teardown_errors: list[str] = []
-    frames_dropped = 0
-    for pid, transport in transports.items():
-        base = getattr(transport, "inner", transport)
-        frames_dropped += base.frames_dropped
-        teardown_errors.extend(f"node {pid}: {error}" for error in base.last_errors)
-    report = ShardReport(
-        pids=spec.pids,
-        metrics_state=metrics.state(),
-        ledger_ids={pid: tuple(r.ledger.block_ids) for pid, r in replicas.items()},
-        kv_digests={
-            pid: r.state_machine.digest()
-            for pid, r in replicas.items()
-            if r.state_machine is not None
-        },
-        kv_chains={
-            pid: r.state_machine.apply_chain
-            for pid, r in replicas.items()
-            if r.state_machine is not None
-        },
-        events_processed=sum(r.events_processed for r in runtimes.values()),
-        messages_sent=sum(t.messages_sent for t in transports.values()),
-        messages_delivered=sum(t.messages_delivered for t in transports.values()),
-        frames_dropped=frames_dropped,
-        teardown_errors=tuple(teardown_errors),
-    )
+    await group.stop()
     try:
-        conn.send(("result", report))
+        conn.send(("result", group.report()))
     except (BrokenPipeError, OSError):
         pass  # coordinator already gone; nothing left to report to
 
@@ -333,18 +210,20 @@ class _Worker:
     commits: dict[int, int] = field(default_factory=dict)
 
 
-class ProcessCluster:
+class ProcessCluster(ClusterView):
     """An n-replica cluster with one OS process per node (or shard).
 
     The multicore sibling of :class:`~repro.runner.live.TcpCluster`: the
     public surface (``start`` / ``run`` / ``run_until_commits`` / ``stop``,
-    ``min_committed``, ``ledgers_are_consistent``, ``metrics``) mirrors it,
-    so benchmarks and examples switch placement with one constructor.  The
-    differences are inherent to the process boundary:
+    ``min_committed``, the :class:`~repro.runner.live.ClusterView` checks,
+    ``metrics``) mirrors it, so benchmarks and examples switch placement
+    with one constructor.  The differences are inherent to the process
+    boundary:
 
-    * ``metrics`` holds the *merged* cluster-wide collector only after
+    * ``metrics`` holds the *merged* cluster-wide collector, and the views
+      answer from the workers' shipped ledgers and KV snapshots, only after
       :meth:`stop` (during the run the parent sees ledger lengths, not
-      events);
+      events; the views raise until then);
     * ``stop_when`` predicates receive the cluster and may consult
       :meth:`min_committed`, which refreshes at the status-poll cadence;
     * protocol traces (``config.record_trace``) stay inside the workers and
@@ -374,10 +253,6 @@ class ProcessCluster:
         lane whenever the whole cluster shares a machine.  The parent
         creates one segment per directed node pair before spawning and is
         the only process that unlinks them.
-    ring_bytes:
-        Per-directed-pair ring capacity for ``transport="shm"`` (a frame
-        that outgrows the free space is dropped and counted, never blocked
-        on).
     """
 
     def __init__(
@@ -386,15 +261,9 @@ class ProcessCluster:
         host: str = "127.0.0.1",
         codec: Optional[str] = None,
         processes: Optional[int] = None,
-        connect_timeout: float = 10.0,
-        coalesce_writes: bool = True,
-        status_interval: float = 0.05,
-        worker_poll: float = 0.02,
-        bootstrap_timeout: float = 120.0,
-        teardown_timeout: float = 30.0,
         transport: str = "tcp",
-        ring_bytes: int = DEFAULT_RING_BYTES,
     ) -> None:
+        LiveExecutor(placement="process", transport=transport)  # checks the lane
         if codec is not None and not isinstance(codec, str):
             raise ConfigurationError(
                 "ProcessCluster takes a codec *name* (codec instances do not "
@@ -408,30 +277,13 @@ class ProcessCluster:
             )
         if processes is not None and processes < 1:
             raise ConfigurationError(f"processes must be >= 1, got {processes}")
-        if transport not in ("tcp", "shm"):
-            raise ConfigurationError(
-                f"unknown transport {transport!r}; available: tcp, shm"
-            )
         self.config = config
         self.transport = transport
-        self.ring_bytes = ring_bytes
         self.host = host
         self.codec = codec
         self.processes = min(processes, config.n) if processes is not None else config.n
-        self.connect_timeout = connect_timeout
-        self.coalesce_writes = coalesce_writes
-        self.status_interval = status_interval
-        self.worker_poll = worker_poll
-        self.bootstrap_timeout = bootstrap_timeout
-        self.teardown_timeout = teardown_timeout
         #: Merged cluster-wide metrics; populated by :meth:`stop`.
         self.metrics = MetricsCollector()
-        #: Committed block ids per pid, shipped back at :meth:`stop`.
-        self.ledger_ids: dict[int, tuple[str, ...]] = {}
-        #: KV state digests / apply chains per pid, shipped back at
-        #: :meth:`stop` (empty when no client workload was configured).
-        self.kv_state_digests: dict[int, str] = {}
-        self.kv_apply_chains: dict[int, tuple[str, ...]] = {}
         #: Errors surfaced during teardown: transport ``last_errors`` from
         #: every node, plus coordinator-observed worker failures (crashes,
         #: missing reports, non-zero exit codes).
@@ -443,14 +295,14 @@ class ProcessCluster:
         #: Wire totals across all nodes (populated by :meth:`stop`).
         self.messages_sent = 0
         self.messages_delivered = 0
+        self._ledger_ids: dict[int, tuple[str, ...]] = {}
+        self._kv: dict[int, KVSnapshot] = {}
         self._workers: list[_Worker] = []
-        self._stack: Optional[tuple] = None
+        self._stack = None
         self._segments: list = []  # parent-owned shm ring segments
-        self._shm_token: Optional[str] = None
         self._started = False
         self._stopped = False
         self._status_due = 0.0
-        self._status_outstanding = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -459,25 +311,21 @@ class ProcessCluster:
         """Spawn the workers and run the address/ready/go bootstrap dance."""
         if self._started:
             return
-        from repro.runner.live import _build_protocol_stack
-
         # Parent-side stack build: only protocol_config and the corruption
         # plan are kept (for summaries); the parent mints keys it never uses.
         self._stack = _build_protocol_stack(self.config)
-        protocol_config = self._stack[0]
-        pids = list(protocol_config.processor_ids)
+        pids = list(self._stack.protocol_config.processor_ids)
         shards = self._partition(pids, self.processes)
         origin = time.monotonic()
         lifetime = self.config.duration + WORKER_LIFETIME_MARGIN
         ctx = multiprocessing.get_context("spawn")
+        shm_token = None
         if self.transport == "shm":
             # The parent creates every directed-pair ring segment before the
             # first worker exists and remains their sole owner; workers only
             # attach by the deterministic names the token implies.
-            self._shm_token = uuid.uuid4().hex[:12]
-            self._segments = create_cluster_rings(
-                self._shm_token, pids, self.ring_bytes
-            )
+            shm_token = uuid.uuid4().hex[:12]
+            self._segments = create_cluster_rings(shm_token, pids, DEFAULT_RING_BYTES)
         try:
             for index, shard in enumerate(shards):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -487,13 +335,8 @@ class ProcessCluster:
                     host=self.host,
                     codec=self.codec,
                     clock_origin=origin,
-                    coalesce_writes=self.coalesce_writes,
-                    connect_timeout=self.connect_timeout,
-                    poll=self.worker_poll,
                     lifetime=lifetime,
-                    transport=self.transport,
-                    shm_token=self._shm_token,
-                    ring_bytes=self.ring_bytes,
+                    shm_token=shm_token,
                 )
                 process = ctx.Process(
                     target=_shard_worker, args=(spec, child_conn), daemon=True,
@@ -505,17 +348,12 @@ class ProcessCluster:
                     _Worker(index=index, pids=tuple(shard), process=process, conn=parent_conn)
                 )
             addresses: dict[int, tuple[str, int]] = {}
-            fingerprints = []
-            for worker in self._workers:
-                message = await self._recv(worker, timeout=self.bootstrap_timeout)
-                if message is None or message[0] != "addresses":
-                    raise SimulationError(
-                        f"worker {worker.index} (pids {worker.pids}) failed during "
-                        f"bootstrap: {self._failure_reason(worker, message)}"
-                    )
-                addresses.update(message[1])
-                fingerprints.append(message[2])
-            if any(fp != fingerprints[0] for fp in fingerprints[1:]):
+            fingerprints = set()
+            replies = await self._expect("addresses", "during bootstrap")
+            for _, shard_addresses, fingerprint in replies:
+                addresses.update(shard_addresses)
+                fingerprints.add(fingerprint)
+            if len(fingerprints) > 1:
                 raise ConfigurationError(
                     "spawned workers derived different signing keys — the key "
                     "ceremony is no longer deterministic under a fresh "
@@ -523,13 +361,7 @@ class ProcessCluster:
                 )
             for worker in self._workers:
                 worker.conn.send(("peers", addresses))
-            for worker in self._workers:
-                message = await self._recv(worker, timeout=self.bootstrap_timeout)
-                if message is None or message[0] != "ready":
-                    raise SimulationError(
-                        f"worker {worker.index} (pids {worker.pids}) failed before "
-                        f"start: {self._failure_reason(worker, message)}"
-                    )
+            await self._expect("ready", "before start")
             for worker in self._workers:
                 worker.conn.send(("go",))
         except Exception:
@@ -574,7 +406,7 @@ class ProcessCluster:
         """Stop every worker, collect reports, and merge the cluster result.
 
         Never hangs on a crashed worker: reports are awaited under
-        ``teardown_timeout`` and stragglers are terminated, with the
+        :data:`TEARDOWN_TIMEOUT` and stragglers are terminated, with the
         failure recorded in :attr:`teardown_errors` rather than raised —
         a dead node is data, not an excuse to lose the others' results.
         """
@@ -587,14 +419,10 @@ class ProcessCluster:
                     worker.conn.send(("stop",))
                 except (BrokenPipeError, OSError):
                     worker.alive = False
-        reports: list[ShardReport] = []
         for worker in self._workers:
-            report = await self._await_report(worker)
-            if report is not None:
-                reports.append(report)
-                worker.report = report
+            worker.report = await self._await_report(worker)
         for worker in self._workers:
-            worker.process.join(timeout=self.teardown_timeout)
+            worker.process.join(timeout=TEARDOWN_TIMEOUT)
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=5.0)
@@ -608,7 +436,7 @@ class ProcessCluster:
                 )
             worker.conn.close()
         self._release_segments()
-        self._merge(reports)
+        self._merge([worker.report for worker in self._workers if worker.report is not None])
 
     # ------------------------------------------------------------------
     # Observation
@@ -626,59 +454,39 @@ class ProcessCluster:
             return 0
         return min(commits.values())
 
-    def ledgers_are_consistent(self) -> bool:
-        """Safety over the collected ledgers (available after :meth:`stop`)."""
+    @property
+    def ledger_ids(self) -> dict[int, tuple[str, ...]]:
+        """Committed block ids per pid, shipped back at :meth:`stop`."""
+        self._require_stopped()
+        return self._ledger_ids
+
+    def _state_machines(self) -> dict[int, KVSnapshot]:
+        self._require_stopped()
+        return self._kv
+
+    def _require_stopped(self) -> None:
         if not self._stopped:
             raise SimulationError(
-                "ledgers_are_consistent() needs the collected ledgers; call "
-                "stop() first (use min_committed() for live progress)"
+                "the cluster views need the ledgers and KV state the workers "
+                "ship at stop(); call stop() first (use min_committed() for "
+                "live progress)"
             )
-        return sequences_consistent(self.ledger_ids.values())
 
-    def kv_consistent(self) -> bool:
-        """State-machine safety over the shipped apply chains (after :meth:`stop`).
-
-        Trivially true when no workload ran (nothing was shipped).
-        """
-        if not self._stopped:
-            raise SimulationError("kv_consistent() needs the shipped chains; call stop() first")
-        from repro.statemachine.kvstore import apply_chains_consistent
-
-        return apply_chains_consistent(self.kv_apply_chains.values())
-
-    def kv_digests(self) -> dict[int, str]:
-        """Per-pid KV state digests (after :meth:`stop`); TcpCluster-compatible."""
-        if not self._stopped:
-            raise SimulationError("kv_digests() needs the shipped state; call stop() first")
-        return dict(self.kv_state_digests)
-
-    def kv_chains(self) -> dict[int, tuple[str, ...]]:
-        """Per-pid KV apply chains (after :meth:`stop`); TcpCluster-compatible."""
-        if not self._stopped:
-            raise SimulationError("kv_chains() needs the shipped state; call stop() first")
-        return dict(self.kv_apply_chains)
-
-    def result(self):
+    def result(self) -> LiveRunResult:
         """The merged :class:`~repro.runner.live.LiveRunResult` (after :meth:`stop`)."""
-        if not self._stopped:
-            raise SimulationError("result() is available after stop()")
-        from repro.runner.live import LiveRunResult
-
-        assert self._stack is not None
-        protocol_config, _, corruption = self._stack[0], self._stack[1], self._stack[2]
+        self._require_stopped()
         return LiveRunResult(
             config=self.config,
-            protocol_config=protocol_config,
+            protocol_config=self._stack.protocol_config,
             metrics=self.metrics,
             trace=TraceRecorder(enabled=False),
             replicas={},
-            corruption=corruption,
+            corruption=self._stack.corruption,
             runtime=None,
             transport=None,
-            ledger_block_ids=dict(self.ledger_ids),
+            ledger_block_ids=dict(self._ledger_ids),
             events=self.events_processed,
-            kv_digests=dict(self.kv_state_digests),
-            kv_chains=dict(self.kv_apply_chains),
+            kv_snapshots=dict(self._kv),
         )
 
     # ------------------------------------------------------------------
@@ -714,7 +522,20 @@ class ProcessCluster:
                 return None
             if loop.time() >= deadline:
                 return None
-            await asyncio.sleep(self.worker_poll)
+            await asyncio.sleep(WORKER_POLL)
+
+    async def _expect(self, kind: str, stage: str) -> list[tuple]:
+        """Every worker's next bootstrap message, each of which must be ``kind``."""
+        messages = []
+        for worker in self._workers:
+            message = await self._recv(worker, timeout=BOOTSTRAP_TIMEOUT)
+            if message is None or message[0] != kind:
+                raise SimulationError(
+                    f"worker {worker.index} (pids {worker.pids}) failed {stage}: "
+                    f"{self._failure_reason(worker, message)}"
+                )
+            messages.append(message)
+        return messages
 
     def _failure_reason(self, worker: _Worker, message) -> str:
         if message is not None and message[0] == "error":
@@ -728,7 +549,7 @@ class ProcessCluster:
         loop = asyncio.get_running_loop()
         if loop.time() < self._status_due:
             return
-        self._status_due = loop.time() + self.status_interval
+        self._status_due = loop.time() + STATUS_INTERVAL
         polled = []
         for worker in self._workers:
             if not worker.alive:
@@ -746,7 +567,7 @@ class ProcessCluster:
             # Workers answer within one of their poll cycles; a short wait
             # keeps a wedged worker from stalling the coordinator's run loop.
             message = await self._recv(
-                worker, timeout=max(1.0, 10 * self.status_interval)
+                worker, timeout=max(1.0, 10 * STATUS_INTERVAL)
             )
             if message is None:
                 if not worker.alive:
@@ -766,7 +587,7 @@ class ProcessCluster:
     async def _await_report(self, worker: _Worker) -> Optional[ShardReport]:
         """Wait for a worker's ``("result", ...)``, skipping stale replies."""
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.teardown_timeout
+        deadline = loop.time() + TEARDOWN_TIMEOUT
         while loop.time() < deadline:
             message = await self._recv(worker, timeout=max(deadline - loop.time(), 0.01))
             if message is None:
@@ -802,9 +623,8 @@ class ProcessCluster:
         """Fold the shard reports into the cluster-wide result surface."""
         self.metrics = merge_metrics_states([r.metrics_state for r in reports])
         for report in reports:
-            self.ledger_ids.update(report.ledger_ids)
-            self.kv_state_digests.update(report.kv_digests)
-            self.kv_apply_chains.update(report.kv_chains)
+            self._ledger_ids.update(report.ledger_ids)
+            self._kv.update(report.kv)
             self.events_processed += report.events_processed
             self.messages_sent += report.messages_sent
             self.messages_delivered += report.messages_delivered

@@ -24,7 +24,7 @@ from repro.runner import (
     TcpCluster,
     run_live_scenario,
 )
-from repro.runtime import MonotonicClock
+from repro.runtime import MonotonicClock, TcpTransport
 from repro.sim.network import FixedDelay
 
 
@@ -222,3 +222,35 @@ def test_tcp_cluster_smoke():
     assert commits >= 5, f"only {commits} blocks within the wall-clock budget"
     assert consistent
     assert decisions >= commits
+
+
+def test_failed_tcp_cluster_start_closes_its_servers(monkeypatch):
+    """A build error after the servers are bound leaves none of them serving."""
+    addresses = []
+    start_server = TcpTransport.start_server
+
+    async def recording_start_server(self):
+        address = await start_server(self)
+        addresses.append(address)
+        return address
+
+    monkeypatch.setattr(TcpTransport, "start_server", recording_start_server)
+
+    async def scenario():
+        cluster = TcpCluster(_scenario(0, pacemaker="no-such-pacemaker"))
+        with pytest.raises(ConfigurationError):
+            await cluster.start()
+        await cluster.stop()
+        refused = 0
+        for host, port in addresses:
+            try:
+                _, writer = await asyncio.open_connection(host, port)
+            except OSError:
+                refused += 1
+            else:
+                writer.close()
+        return refused
+
+    refused = asyncio.run(scenario())
+    assert len(addresses) == 4
+    assert refused == 4

@@ -17,8 +17,8 @@ import pytest
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.scenario import ScenarioConfig
 from repro.metrics.collector import MetricsCollector, merge_metrics_states
-from repro.runner import ProcessCluster, TcpCluster, make_live_cluster
-from repro.runtime import default_binary_codec
+from repro.runner import LiveExecutor, ProcessCluster, make_live_cluster, process_cluster
+from repro.runtime import ChaosConfig, default_binary_codec
 
 
 def _config(**overrides) -> ScenarioConfig:
@@ -54,13 +54,7 @@ def test_inline_and_process_placements_agree():
             )
         finally:
             await cluster.stop()
-        if placement == "process":
-            ledgers = {pid: list(ids) for pid, ids in cluster.ledger_ids.items()}
-        else:
-            ledgers = {
-                pid: node.replica.ledger.block_ids
-                for pid, node in cluster.nodes.items()
-            }
+        ledgers = {pid: list(ids) for pid, ids in cluster.ledger_ids.items()}
         decisions = [(d.view, d.leader) for d in cluster.metrics.honest_decisions()]
         assert cluster.ledgers_are_consistent()
         assert not cluster.teardown_errors, cluster.teardown_errors
@@ -88,12 +82,13 @@ def test_inline_and_process_placements_agree():
 # Crash tolerance: killing a node's process must not hang the coordinator
 # ----------------------------------------------------------------------
 @pytest.mark.tcp
-def test_process_cluster_survives_worker_crash():
+def test_process_cluster_survives_worker_crash(monkeypatch):
     """SIGKILL one node's process mid-run: teardown completes, errors surface."""
     config = _config(n=4, delta=0.3)
+    monkeypatch.setattr(process_cluster, "TEARDOWN_TIMEOUT", 10.0)
 
     async def run():
-        cluster = ProcessCluster(config, teardown_timeout=10.0)
+        cluster = ProcessCluster(config)
         try:
             await asyncio.wait_for(
                 cluster.run_until_commits(3, timeout=30.0), timeout=40.0
@@ -114,6 +109,17 @@ def test_process_cluster_survives_worker_crash():
     survivors = set(range(1, 4))
     assert survivors <= set(cluster.ledger_ids)
     assert cluster.ledgers_are_consistent()
+
+
+@pytest.mark.tcp
+def test_process_placement_campaign_cell_records_honest_views():
+    """A process-placement campaign cell reads its views from merged state."""
+    record = LiveExecutor(placement="process")(
+        lambda params: _config(duration=3.0), {}, "process-cell", "live[placement=process]:cell"
+    )
+    assert record.committed_blocks > 0
+    assert record.ledgers_consistent
+    assert record.max_honest_view >= record.committed_blocks
 
 
 # ----------------------------------------------------------------------
@@ -142,6 +148,21 @@ def test_inline_placement_rejects_processes_knob():
 def test_unknown_placement_is_rejected():
     with pytest.raises(ConfigurationError, match="placement"):
         make_live_cluster(_config(), placement="threads")
+    # Every lane is checked when it is built, not when its first cell runs.
+    with pytest.raises(ConfigurationError, match="placement"):
+        LiveExecutor(placement="threads")
+    with pytest.raises(ConfigurationError, match="transport"):
+        LiveExecutor(placement="process", transport="udp")
+    with pytest.raises(ConfigurationError, match="transport"):
+        ProcessCluster(_config(), transport="udp")
+    with pytest.raises(ConfigurationError, match="shm"):
+        LiveExecutor(transport="shm")
+    with pytest.raises(ConfigurationError, match="shm"):
+        make_live_cluster(_config(), transport="shm")
+    with pytest.raises(ConfigurationError, match="jitter"):
+        LiveExecutor(placement="process", jitter=0.05)
+    with pytest.raises(ConfigurationError, match="chaos"):
+        LiveExecutor(placement="process", chaos=ChaosConfig(drop_rate=0.01))
 
 
 def test_result_requires_stop_first():
