@@ -55,7 +55,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.runner.live import make_live_cluster, run_live_scenario
-from repro.runner.workload import WorkloadConfig, kv_state_digests
+from repro.runner.workload import WorkloadConfig
 from repro.version import __version__
 from versioncheck import report_output_version
 
@@ -117,7 +117,7 @@ def run_parity_cell(n: int, seed: int) -> dict:
     live = run_live_scenario(config)  # zero jitter, virtual clock
     sim_ledgers = {pid: r.ledger.block_ids for pid, r in sim.replicas.items()}
     live_ledgers = {pid: r.ledger.block_ids for pid, r in live.replicas.items()}
-    sim_digests = kv_state_digests(sim.replicas.values())
+    sim_digests = sim.kv_digests()
     live_digests = live.kv_digests()
     return {
         "n": n,

@@ -28,6 +28,7 @@ REFERENCE_PAGES = {
         "repro.runner",
         [
             "repro.runner",
+            "repro.experiments.scenario",
             "repro.runner.campaign",
             "repro.runner.executor",
             "repro.runner.record",

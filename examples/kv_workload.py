@@ -24,7 +24,7 @@ import sys
 import time
 
 from repro.experiments import ScenarioConfig, run_scenario
-from repro.runner import WorkloadConfig, kv_state_digests, make_live_cluster
+from repro.runner import WorkloadConfig, make_live_cluster
 from repro.runner.live import run_live_scenario
 
 
@@ -39,7 +39,7 @@ def virtual_lanes(args: argparse.Namespace) -> bool:
     sim = run_scenario(config)
     live = run_live_scenario(config)  # asyncio runtime, virtual clock, zero jitter
 
-    sim_digests = kv_state_digests(sim.replicas.values())
+    sim_digests = sim.kv_digests()
     live_digests = live.kv_digests()
     identical = (
         {p: r.ledger.block_ids for p, r in sim.replicas.items()}

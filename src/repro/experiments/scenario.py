@@ -4,18 +4,24 @@ A :class:`ScenarioConfig` says *what* to run (protocol, system size, timing
 parameters, faults, network adversary, duration); :func:`run_scenario` builds
 the full simulated system, runs it to the requested virtual time, and
 returns a :class:`ScenarioResult` wrapping the metrics, traces and replicas.
+
+The engine-independent half of that build (named-scenario resolution, crypto
+backend, keys, metrics, corruption plan, and each node's replica and client
+workload) is written once here and shared with every live lane in
+:mod:`repro.runner.live`, as are the result base :class:`RunResult` and the
+safety/KV views of :class:`ClusterView`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 from repro.adversary.attacks import spread_corruption
-from repro.adversary.behaviours import Behaviour, SilentLeaderBehaviour
+from repro.adversary.behaviours import SilentLeaderBehaviour
 from repro.adversary.corruption import CorruptionPlan
 from repro.config import ProtocolConfig
-from repro.consensus.ledger import ledgers_consistent
+from repro.consensus.ledger import sequences_consistent
 from repro.consensus.replica import Replica
 from repro.crypto.backend import CryptoBackend, make_backend, set_default_backend
 from repro.crypto.signatures import PKI
@@ -33,6 +39,7 @@ from repro.sim.events import Simulator
 from repro.sim.network import DelayModel, FixedDelay, Network, NetworkConfig
 from repro.sim.process import SimContext
 from repro.sim.tracing import TraceRecorder
+from repro.statemachine.kvstore import apply_chains_consistent
 
 
 @dataclass
@@ -107,9 +114,63 @@ class ScenarioConfig:
         )
 
 
+class ClusterView:
+    """The cross-node safety and KV views of every run result and live cluster.
+
+    The views read two accessors, :attr:`ledger_ids` (pid → committed block
+    ids, over the pids the safety check covers) and :meth:`_state_machines`
+    (pid → the node's replicated KV, or the
+    :class:`~repro.runner.live.KVSnapshot` a node process shipped).  By
+    default both read every replica of ``self.replicas``; a class whose
+    ledgers live in other processes, or whose check covers fewer pids,
+    overrides them.
+    """
+
+    replicas: Mapping[int, Replica]
+
+    @property
+    def ledger_ids(self) -> Mapping[int, Sequence[str]]:
+        """Committed block ids by pid."""
+        return {pid: replica.ledger.block_ids for pid, replica in self.replicas.items()}
+
+    def _state_machines(self) -> Mapping[int, Any]:
+        return {
+            pid: replica.state_machine
+            for pid, replica in self.replicas.items()
+            if replica.state_machine is not None
+        }
+
+    def ledgers_are_consistent(self) -> bool:
+        """Safety: the covered ledgers are pairwise prefix-consistent."""
+        return sequences_consistent(self.ledger_ids.values())
+
+    def kv_digests(self) -> dict[int, str]:
+        """Per-node KV state digests (empty without a client workload)."""
+        return {pid: kv.digest() for pid, kv in self._state_machines().items()}
+
+    def kv_chains(self) -> dict[int, tuple[str, ...]]:
+        """Per-node KV apply chains (empty without a client workload)."""
+        return {pid: kv.apply_chain for pid, kv in self._state_machines().items()}
+
+    def kv_consistent(self) -> bool:
+        """State-machine safety: the apply chains are prefix-consistent.
+
+        Trivially true without a workload (no chains to disagree).
+        """
+        return apply_chains_consistent(self.kv_chains().values())
+
+
 @dataclass
-class ScenarioResult:
-    """The outcome of one simulated run."""
+class RunResult(ClusterView):
+    """The outcome of one run on any lane.
+
+    :class:`ScenarioResult` (the simulator) and
+    :class:`~repro.runner.live.LiveRunResult` (every live lane) add their
+    execution engine and an ``events_processed`` count; the summaries and
+    checks here are shared, so a campaign reduces either to the same
+    :class:`~repro.runner.record.RunRecord`.  The ledger check covers the
+    honest replicas; the KV views cover every replica.
+    """
 
     config: ScenarioConfig
     protocol_config: ProtocolConfig
@@ -117,17 +178,7 @@ class ScenarioResult:
     trace: TraceRecorder
     replicas: dict[int, Replica]
     corruption: CorruptionPlan
-    simulator: Simulator
-    #: The run's crypto backend instance (its counters expose how much digest
-    #: work the run performed); ``None`` only for hand-built results.
-    crypto_backend: Optional[CryptoBackend] = None
-    #: The run's network (exposes delivery counters and the
-    #: ``batch_deliveries`` toggle); ``None`` only for hand-built results.
-    network: Optional[Network] = None
 
-    # ------------------------------------------------------------------
-    # Summaries
-    # ------------------------------------------------------------------
     def summary(self, warmup_decisions: int = 5) -> ComplexitySummary:
         """The Table-1 measures for this run."""
         return summarize_run(
@@ -143,24 +194,22 @@ class ScenarioResult:
     def run_metrics(self) -> RunMetrics:
         """The picklable derived-metrics residue of this run.
 
-        This is the "lightweight half" of a :class:`ScenarioResult`: what the
-        campaign runner ships between processes and stores in its cache.  The
-        live half (replicas, traces, the simulator) stays in this object and
-        never crosses a process boundary.
+        This is the "lightweight half" of a result: what the campaign runner
+        ships between processes and stores in its cache.  The live half
+        (replicas, traces, the simulator or runtime) stays in this object
+        and never crosses a process boundary.
         """
         return extract_run_metrics(self.metrics)
 
-    # ------------------------------------------------------------------
-    # Safety / liveness helpers used by tests and examples
-    # ------------------------------------------------------------------
     @property
     def honest_replicas(self) -> list[Replica]:
         """Replicas that were never corrupted."""
         return [r for pid, r in sorted(self.replicas.items()) if pid in self.corruption.honest_ids]
 
-    def ledgers_are_consistent(self) -> bool:
-        """Safety: honest ledgers are pairwise prefix-consistent."""
-        return ledgers_consistent([replica.ledger for replica in self.honest_replicas])
+    @property
+    def ledger_ids(self) -> dict[int, Sequence[str]]:
+        """Committed block ids per honest pid."""
+        return {replica.pid: replica.ledger.block_ids for replica in self.honest_replicas}
 
     def honest_decisions(self) -> int:
         """Number of QCs produced by honest leaders during the run."""
@@ -168,13 +217,34 @@ class ScenarioResult:
 
     def committed_blocks(self) -> int:
         """Length of the longest honest ledger."""
-        lengths = [len(replica.ledger) for replica in self.honest_replicas]
-        return max(lengths) if lengths else 0
+        return max((len(ids) for ids in self.ledger_ids.values()), default=0)
 
     def max_honest_view(self) -> int:
-        """The highest view any honest replica entered."""
-        views = [self.metrics.max_view_entered(r.pid) for r in self.honest_replicas]
-        return max(views) if views else -1
+        """The highest view any honest replica entered.
+
+        Read from the metrics, which multi-process results merge from every
+        node process.
+        """
+        views = [self.metrics.max_view_entered(pid) for pid in self.corruption.honest_ids]
+        return max(views, default=-1)
+
+
+@dataclass
+class ScenarioResult(RunResult):
+    """The outcome of one simulated run."""
+
+    simulator: Simulator
+    #: The run's crypto backend instance (its counters expose how much digest
+    #: work the run performed); ``None`` only for hand-built results.
+    crypto_backend: Optional[CryptoBackend] = None
+    #: The run's network (exposes delivery counters and the
+    #: ``batch_deliveries`` toggle); ``None`` only for hand-built results.
+    network: Optional[Network] = None
+
+    @property
+    def events_processed(self) -> int:
+        """Simulator events executed during the run."""
+        return self.simulator.events_processed
 
     def describe(self) -> str:
         """One-line run description for reports."""
@@ -213,15 +283,30 @@ def build_spread_fault_config(params: dict[str, Any]) -> ScenarioConfig:
     return config
 
 
-def build_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Construct the simulated system for ``config`` without running it.
+class _ProtocolStack(NamedTuple):
+    """The engine-independent objects every node of a run shares."""
 
-    Returned with virtual time still at zero; callers that need to perturb
-    initial state (e.g. desynchronise local clocks) can do so before calling
-    ``result.simulator.run(...)`` themselves.  Most callers should use
-    :func:`run_scenario`.
+    protocol_config: ProtocolConfig
+    crypto_backend: CryptoBackend
+    corruption: CorruptionPlan
+    metrics: MetricsCollector
+    pki: PKI
+    signing_keys: dict
+    scheme: ThresholdScheme
+    trace: TraceRecorder
+    delay_model: Optional[DelayModel]
+
+
+def _build_protocol_stack(config: ScenarioConfig) -> _ProtocolStack:
+    """The engine-independent half of scenario construction, shared by the
+    simulator (:func:`build_scenario`) and every live lane.
+
+    Resolves a named scenario to its ``(delay_model, corruption)`` effect,
+    installs the crypto backend, builds keys, scheme, metrics and the
+    corruption plan.  The returned delay model is ``None`` for fault-free
+    and corruption-only configs; the simulator then uses
+    ``FixedDelay(actual_delay)``, and a live lane imposes no schedule.
     """
-    protocol_config = config.protocol_config()
     delay_model = config.delay_model
     explicit_corruption = config.corruption
     if config.scenario is not None:
@@ -238,10 +323,10 @@ def build_scenario(config: ScenarioConfig) -> ScenarioResult:
         delay_model, explicit_corruption = get_scenario(config.scenario).build(
             config, config.scenario_params
         )
+    protocol_config = config.protocol_config()
     corruption = explicit_corruption or CorruptionPlan.none(protocol_config)
     if corruption.config.n != protocol_config.n:
         raise ConfigurationError("corruption plan was built for a different system size")
-
     # One fresh backend per run (counting tokens / memo tables must never
     # cross runs), shared by the PKI, the threshold scheme and the network,
     # and installed as the process default so lazily derived block ids use
@@ -250,55 +335,76 @@ def build_scenario(config: ScenarioConfig) -> ScenarioResult:
     # is the one unsupported pattern (the campaign executors never do it).
     crypto_backend = make_backend(protocol_config.crypto_backend)
     set_default_backend(crypto_backend)
+    metrics = MetricsCollector()
+    metrics.set_honest(corruption.honest_ids)
+    pki, signing_keys = PKI.setup(protocol_config.processor_ids, backend=crypto_backend)
+    scheme = ThresholdScheme(pki)
+    trace = TraceRecorder(enabled=config.record_trace)
+    return _ProtocolStack(
+        protocol_config, crypto_backend, corruption, metrics, pki, signing_keys,
+        scheme, trace, delay_model,
+    )
 
+
+def _make_replica(pid: int, ctx: Any, config: ScenarioConfig, stack: _ProtocolStack) -> Replica:
+    """Build node ``pid`` on ``ctx`` (a :class:`~repro.sim.process.SimContext`
+    or a :class:`~repro.runtime.base.RuntimeContext`)."""
+    factory = make_pacemaker_factory(
+        config.pacemaker, stack.protocol_config, config.pacemaker_config
+    )
+    replica = Replica(
+        pid=pid,
+        ctx=ctx,
+        config=stack.protocol_config,
+        pki=stack.pki,
+        signing_key=stack.signing_keys[pid],
+        scheme=stack.scheme,
+        pacemaker_factory=factory,
+        metrics=stack.metrics,
+        behaviour=stack.corruption.behaviour_for(pid),
+    )
+    if config.workload is not None:
+        # Every lane builds replicas here — the simulator, inline clusters,
+        # TCP nodes and the spawned workers of a ProcessCluster — so
+        # attaching the client workload at this single point covers them
+        # all.  Local import: repro.runner layers above this package.
+        from repro.runner.workload import attach_workload
+
+        attach_workload(replica, config.workload)
+    return replica
+
+
+def build_scenario(config: ScenarioConfig) -> ScenarioResult:
+    """Construct the simulated system for ``config`` without running it.
+
+    Returned with virtual time still at zero; callers that need to perturb
+    initial state (e.g. desynchronise local clocks) can do so before calling
+    ``result.simulator.run(...)`` themselves.  Most callers should use
+    :func:`run_scenario`.
+    """
+    stack = _build_protocol_stack(config)
     simulator = Simulator(seed=config.seed)
     network = Network(
         simulator,
         config.network_config(),
-        delay_model=delay_model or FixedDelay(config.actual_delay),
-        crypto_backend=crypto_backend,
+        delay_model=stack.delay_model or FixedDelay(config.actual_delay),
+        crypto_backend=stack.crypto_backend,
     )
-    trace = TraceRecorder(enabled=config.record_trace)
-    ctx = SimContext(sim=simulator, network=network, trace=trace)
-
-    metrics = MetricsCollector()
-    metrics.set_honest(corruption.honest_ids)
-    metrics.attach_network(network)
-
-    pki, signing_keys = PKI.setup(protocol_config.processor_ids, backend=crypto_backend)
-    scheme = ThresholdScheme(pki)
-
-    replicas: dict[int, Replica] = {}
-    for pid in protocol_config.processor_ids:
-        factory = make_pacemaker_factory(
-            config.pacemaker, protocol_config, config.pacemaker_config
-        )
-        replicas[pid] = Replica(
-            pid=pid,
-            ctx=ctx,
-            config=protocol_config,
-            pki=pki,
-            signing_key=signing_keys[pid],
-            scheme=scheme,
-            pacemaker_factory=factory,
-            metrics=metrics,
-            behaviour=corruption.behaviour_for(pid),
-        )
-        if config.workload is not None:
-            # Local import: repro.runner layers above this package.
-            from repro.runner.workload import attach_workload
-
-            attach_workload(replicas[pid], config.workload)
-
+    stack.metrics.attach_network(network)
+    ctx = SimContext(sim=simulator, network=network, trace=stack.trace)
+    replicas = {
+        pid: _make_replica(pid, ctx, config, stack)
+        for pid in stack.protocol_config.processor_ids
+    }
     return ScenarioResult(
         config=config,
-        protocol_config=protocol_config,
-        metrics=metrics,
-        trace=trace,
+        protocol_config=stack.protocol_config,
+        metrics=stack.metrics,
+        trace=stack.trace,
         replicas=replicas,
-        corruption=corruption,
+        corruption=stack.corruption,
         simulator=simulator,
-        crypto_backend=crypto_backend,
+        crypto_backend=stack.crypto_backend,
         network=network,
     )
 

@@ -37,8 +37,6 @@ from repro.runner.workload import (
     RequestGateway,
     WorkloadConfig,
     attach_workload,
-    kv_apply_chains,
-    kv_state_digests,
 )
 
 #: Names resolved lazily from repro.runner.live (PEP 562): the live module
@@ -94,8 +92,6 @@ __all__ = [
     "build_live_scenario",
     "config_fingerprint",
     "execute_cell",
-    "kv_apply_chains",
-    "kv_state_digests",
     "make_live_cluster",
     "run_campaign",
     "run_live_scenario",

@@ -58,18 +58,7 @@ def execute_cell(
     started = time.perf_counter()
     result = run_scenario(config, max_events=max_events)
     wall_time = time.perf_counter() - started
-    return RunRecord(
-        run_id=run_id,
-        key=key,
-        params=params,
-        summary=result.summary(),
-        metrics=result.run_metrics(),
-        committed_blocks=result.committed_blocks(),
-        max_honest_view=result.max_honest_view(),
-        ledgers_consistent=result.ledgers_are_consistent(),
-        events_processed=result.simulator.events_processed,
-        wall_time=wall_time,
-    )
+    return RunRecord.of(result, run_id, key, params, wall_time)
 
 
 @dataclass
@@ -158,15 +147,16 @@ def run_campaign(
     # (which also folds in its jitter): the same parameter point under
     # "serial"/"process" and under differently configured live executors
     # occupies distinct cache entries.
-    executor = None
+    # A live executor is a cell runner with execute_cell's signature.
+    run_cell = execute_cell
     key_prefix = ""
     if backend == "live":
         # Lazy import: the live module pulls the asyncio runtime stack,
         # which simulated campaigns never need.
         from repro.runner.live import LiveExecutor
 
-        executor = live_executor if live_executor is not None else LiveExecutor()
-        key_prefix = executor.cache_salt
+        run_cell = live_executor if live_executor is not None else LiveExecutor()
+        key_prefix = run_cell.cache_salt
 
     store = _resolve_cache(cache)
     started = time.perf_counter()
@@ -195,28 +185,15 @@ def run_campaign(
     # The process backend is used even for a single missing cell: falling
     # back to in-process execution would mask pickling errors (and mislabel
     # the result) until the first cold-cache run on another machine.
-    if backend == "live":
+    if backend != "process" or not todo:
         for index, spec in todo:
             finish(
                 index,
-                executor(
+                run_cell(
                     campaign.build,
                     spec.params,
                     spec.run_id,
                     key_prefix + spec.key,
-                    campaign.max_events,
-                    config=spec.config,
-                ),
-            )
-    elif backend == "serial" or not todo:
-        for index, spec in todo:
-            finish(
-                index,
-                execute_cell(
-                    campaign.build,
-                    spec.params,
-                    spec.run_id,
-                    spec.key,
                     campaign.max_events,
                     config=spec.config,
                 ),

@@ -16,9 +16,12 @@ discrete-event simulator:
   :class:`TcpCluster` is one group over every pid, on real TCP sockets on
   localhost; each :class:`~repro.runner.process_cluster.ProcessCluster`
   worker runs one group over its shard.
-* :class:`ClusterView` — the cross-node safety and KV views
+* :class:`LiveRunResult` — the live
+  :class:`~repro.experiments.scenario.RunResult`; both clusters share its
+  :class:`~repro.experiments.scenario.ClusterView` safety and KV views
   (``ledgers_are_consistent``, ``kv_digests``, ``kv_chains``,
-  ``kv_consistent``) shared by both clusters and :class:`LiveRunResult`.
+  ``kv_consistent``).  Every lane builds its nodes with the simulator's own
+  protocol-stack and replica builders.
 * :class:`LiveExecutor` — the frozen lane descriptor and ``"live"``
   campaign backend: a :class:`~repro.runner.campaign.Campaign` sweeps
   live-cluster cells exactly like simulated ones, producing the same
@@ -42,21 +45,20 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from repro.adversary.corruption import CorruptionPlan
-from repro.config import ProtocolConfig
-from repro.consensus.ledger import sequences_consistent
 from repro.consensus.replica import Replica
-from repro.crypto.backend import CryptoBackend, make_backend, set_default_backend
-from repro.crypto.signatures import PKI
-from repro.crypto.threshold import ThresholdScheme
+from repro.crypto.backend import CryptoBackend
 from repro.errors import ConfigurationError
-from repro.experiments.scenario import ScenarioConfig
-from repro.faults.library import get_scenario
+from repro.experiments.scenario import (
+    ClusterView,
+    RunResult,
+    ScenarioConfig,
+    _build_protocol_stack,
+    _make_replica,
+    _ProtocolStack,
+)
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.summary import ComplexitySummary, RunMetrics, extract_run_metrics, summarize_run
-from repro.pacemakers.registry import make_pacemaker_factory
 from repro.runner.record import RunRecord
 from repro.runtime import (
     AsyncioRuntime,
@@ -74,9 +76,6 @@ from repro.runtime import (
     adapt_schedule,
     track_downtime,
 )
-from repro.sim.network import DelayModel
-from repro.sim.tracing import TraceRecorder
-from repro.statemachine.kvstore import apply_chains_consistent
 
 #: How far behind zero a replica's local clock is re-anchored immediately
 #: before ``start()`` on wall-clock runs.  Under the simulator, construction
@@ -96,86 +95,6 @@ def _start_replicas(replicas: dict[int, Replica], wall: bool) -> None:
         replicas[pid].start()
 
 
-class _ProtocolStack(NamedTuple):
-    """The runtime-independent objects every node of a live run shares."""
-
-    protocol_config: ProtocolConfig
-    crypto_backend: CryptoBackend
-    corruption: CorruptionPlan
-    metrics: MetricsCollector
-    pki: PKI
-    signing_keys: dict
-    scheme: ThresholdScheme
-    trace: TraceRecorder
-    delay_model: Optional[DelayModel]
-
-
-def _build_protocol_stack(config: ScenarioConfig) -> _ProtocolStack:
-    """The runtime-independent half of scenario construction.
-
-    Resolves a named scenario to its ``(delay_model, corruption)`` effect
-    (exactly as :func:`repro.experiments.scenario.build_scenario` does),
-    installs the crypto backend, builds keys, scheme, metrics and the
-    corruption plan.  The returned delay model — ``None`` for fault-free
-    and corruption-only configs — is the schedule the live transport must
-    impose (via :func:`repro.runtime.chaos.adapt_schedule`).
-    """
-    delay_model = config.delay_model
-    explicit_corruption = config.corruption
-    if config.scenario is not None:
-        if delay_model is not None or explicit_corruption is not None:
-            raise ConfigurationError(
-                f"scenario {config.scenario!r} fully determines the adversary; "
-                "leave delay_model and corruption unset (override via "
-                "scenario_params instead)"
-            )
-        delay_model, explicit_corruption = get_scenario(config.scenario).build(
-            config, config.scenario_params
-        )
-    protocol_config = config.protocol_config()
-    corruption = explicit_corruption or CorruptionPlan.none(protocol_config)
-    if corruption.config.n != protocol_config.n:
-        raise ConfigurationError("corruption plan was built for a different system size")
-    crypto_backend = make_backend(protocol_config.crypto_backend)
-    set_default_backend(crypto_backend)
-    metrics = MetricsCollector()
-    metrics.set_honest(corruption.honest_ids)
-    pki, signing_keys = PKI.setup(protocol_config.processor_ids, backend=crypto_backend)
-    scheme = ThresholdScheme(pki)
-    trace = TraceRecorder(enabled=config.record_trace)
-    return _ProtocolStack(
-        protocol_config, crypto_backend, corruption, metrics, pki, signing_keys,
-        scheme, trace, delay_model,
-    )
-
-
-def _make_replica(
-    pid: int, ctx: RuntimeContext, config: ScenarioConfig, stack: _ProtocolStack
-) -> Replica:
-    factory = make_pacemaker_factory(
-        config.pacemaker, stack.protocol_config, config.pacemaker_config
-    )
-    replica = Replica(
-        pid=pid,
-        ctx=ctx,
-        config=stack.protocol_config,
-        pki=stack.pki,
-        signing_key=stack.signing_keys[pid],
-        scheme=stack.scheme,
-        pacemaker_factory=factory,
-        metrics=stack.metrics,
-        behaviour=stack.corruption.behaviour_for(pid),
-    )
-    if config.workload is not None:
-        # Every live lane builds replicas here — inline clusters, TCP nodes
-        # and the spawned workers of a ProcessCluster — so attaching the
-        # client workload at this single point covers them all.
-        from repro.runner.workload import attach_workload
-
-        attach_workload(replica, config.workload)
-    return replica
-
-
 @dataclass(frozen=True)
 class KVSnapshot:
     """A node's replicated-KV digest and apply chain, shipped out of its
@@ -188,60 +107,14 @@ class KVSnapshot:
         return self.state_digest
 
 
-class ClusterView:
-    """The cross-node safety and KV views of every live cluster and result.
-
-    The views read two accessors, :attr:`ledger_ids` (pid → committed block
-    ids, over the pids the safety check covers) and :meth:`_state_machines`
-    (pid → the node's replicated KV or its shipped :class:`KVSnapshot`).
-    By default both read every replica of ``self.replicas``; a class whose
-    ledgers live in other processes, or whose check covers fewer pids,
-    overrides them.
-    """
-
-    replicas: Mapping[int, Replica]
-
-    @property
-    def ledger_ids(self) -> Mapping[int, Sequence[str]]:
-        """Committed block ids by pid."""
-        return {pid: replica.ledger.block_ids for pid, replica in self.replicas.items()}
-
-    def _state_machines(self) -> Mapping[int, Any]:
-        return {
-            pid: replica.state_machine
-            for pid, replica in self.replicas.items()
-            if replica.state_machine is not None
-        }
-
-    def ledgers_are_consistent(self) -> bool:
-        """Safety: the covered ledgers are pairwise prefix-consistent."""
-        return sequences_consistent(self.ledger_ids.values())
-
-    def kv_digests(self) -> dict[int, str]:
-        """Per-node KV state digests (empty without a client workload)."""
-        return {pid: kv.digest() for pid, kv in self._state_machines().items()}
-
-    def kv_chains(self) -> dict[int, tuple[str, ...]]:
-        """Per-node KV apply chains (empty without a client workload)."""
-        return {pid: kv.apply_chain for pid, kv in self._state_machines().items()}
-
-    def kv_consistent(self) -> bool:
-        """State-machine safety: the apply chains are prefix-consistent.
-
-        Trivially true without a workload (no chains to disagree).
-        """
-        return apply_chains_consistent(self.kv_chains().values())
-
-
 @dataclass
-class LiveRunResult(ClusterView):
+class LiveRunResult(RunResult):
     """The outcome of one live (asyncio-runtime) run.
 
     The live sibling of
-    :class:`~repro.experiments.scenario.ScenarioResult`: same summaries and
-    safety helpers, with the runtime and transport in place of the
-    simulator and network.  The ledger check covers the honest replicas;
-    the KV views cover every replica.
+    :class:`~repro.experiments.scenario.ScenarioResult`: the same
+    :class:`~repro.experiments.scenario.RunResult` summaries and checks,
+    with the runtime and transport in place of the simulator and network.
 
     Multi-process runs (:class:`~repro.runner.process_cluster.ProcessCluster`)
     produce the same result type from merged shard reports: there the
@@ -251,12 +124,6 @@ class LiveRunResult(ClusterView):
     ``ledger_block_ids`` / ``kv_snapshots`` / ``events`` instead.
     """
 
-    config: ScenarioConfig
-    protocol_config: ProtocolConfig
-    metrics: MetricsCollector
-    trace: TraceRecorder
-    replicas: dict[int, Replica]
-    corruption: CorruptionPlan
     runtime: Optional[AsyncioRuntime]
     transport: Optional[Transport]
     crypto_backend: Optional[CryptoBackend] = None
@@ -269,28 +136,6 @@ class LiveRunResult(ClusterView):
     #: ``replicas`` is populated).
     kv_snapshots: Optional[dict[int, KVSnapshot]] = None
 
-    # ------------------------------------------------------------------
-    # Summaries
-    # ------------------------------------------------------------------
-    def summary(self, warmup_decisions: int = 5) -> ComplexitySummary:
-        """The Table-1 measures for this run."""
-        return summarize_run(
-            self.metrics,
-            protocol=self.config.pacemaker,
-            n=self.config.n,
-            f_actual=self.corruption.f_actual,
-            gst=self.config.gst,
-            delta=self.config.delta,
-            warmup_decisions=warmup_decisions,
-        )
-
-    def run_metrics(self) -> RunMetrics:
-        """The picklable derived-metrics residue of this run."""
-        return extract_run_metrics(self.metrics)
-
-    # ------------------------------------------------------------------
-    # Safety / liveness helpers
-    # ------------------------------------------------------------------
     @property
     def ledger_ids(self) -> dict[int, Sequence[str]]:
         """Committed block ids per honest pid, from replicas or shipped ids."""
@@ -302,23 +147,6 @@ class LiveRunResult(ClusterView):
         if self.replicas:
             return super()._state_machines()
         return self.kv_snapshots or {}
-
-    def honest_decisions(self) -> int:
-        """Number of QCs produced by honest leaders during the run."""
-        return len(self.metrics.honest_decisions())
-
-    def committed_blocks(self) -> int:
-        """Length of the longest honest ledger."""
-        return max((len(ids) for ids in self.ledger_ids.values()), default=0)
-
-    def max_honest_view(self) -> int:
-        """The highest view any honest replica entered.
-
-        Read from the metrics, which multi-process results merge from every
-        node process.
-        """
-        views = [self.metrics.max_view_entered(pid) for pid in self.corruption.honest_ids]
-        return max(views, default=-1)
 
     @property
     def fault_counts(self) -> dict[str, int]:
@@ -692,7 +520,23 @@ class NodeGroup(ClusterView):
             await transport.stop()
 
 
-class TcpCluster(NodeGroup):
+class LiveCluster(ClusterView):
+    """The run surface :class:`TcpCluster` and
+    :class:`~repro.runner.process_cluster.ProcessCluster` share: each
+    defines ``run(duration, stop_when, poll)`` and ``min_committed()``."""
+
+    async def run_until_commits(
+        self, blocks: int, timeout: float, poll: float = 0.02
+    ) -> int:
+        """Run until every ledger holds ``blocks`` commits (or ``timeout`` wall
+        seconds); returns the final minimum ledger length."""
+        await self.run(
+            timeout, stop_when=lambda c: c.min_committed() >= blocks, poll=poll
+        )
+        return self.min_committed()
+
+
+class TcpCluster(NodeGroup, LiveCluster):
     """An n-replica Lumiere cluster over real TCP sockets on localhost.
 
     One :class:`NodeGroup` over every pid, inside one event loop:
@@ -755,16 +599,6 @@ class TcpCluster(NodeGroup):
                 for node in self.nodes.values()
             )
         )
-
-    async def run_until_commits(
-        self, blocks: int, timeout: float, poll: float = 0.02
-    ) -> int:
-        """Run until every ledger holds ``blocks`` commits (or ``timeout`` wall
-        seconds); returns the final minimum ledger length."""
-        await self.run(
-            timeout, stop_when=lambda c: c.min_committed() >= blocks, poll=poll
-        )
-        return self.min_committed()
 
 
 # ----------------------------------------------------------------------
@@ -939,15 +773,4 @@ class LiveExecutor:
                 config, jitter=self.jitter, max_events=max_events, chaos=self.chaos
             )
         wall_time = time.perf_counter() - started
-        return RunRecord(
-            run_id=run_id,
-            key=key,
-            params=params,
-            summary=result.summary(),
-            metrics=result.run_metrics(),
-            committed_blocks=result.committed_blocks(),
-            max_honest_view=result.max_honest_view(),
-            ledgers_consistent=result.ledgers_are_consistent(),
-            events_processed=result.events_processed,
-            wall_time=wall_time,
-        )
+        return RunRecord.of(result, run_id, key, params, wall_time)

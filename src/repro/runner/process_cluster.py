@@ -58,16 +58,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.scenario import ScenarioConfig, _build_protocol_stack
 from repro.metrics.collector import MetricsCollector, merge_metrics_states
 from repro.runner.live import (
-    ClusterView,
     KVSnapshot,
+    LiveCluster,
     LiveExecutor,
     LiveRunResult,
     NodeGroup,
     ShardReport,
-    _build_protocol_stack,
 )
 from repro.runtime import (
     DEFAULT_RING_BYTES,
@@ -210,14 +209,15 @@ class _Worker:
     commits: dict[int, int] = field(default_factory=dict)
 
 
-class ProcessCluster(ClusterView):
+class ProcessCluster(LiveCluster):
     """An n-replica cluster with one OS process per node (or shard).
 
     The multicore sibling of :class:`~repro.runner.live.TcpCluster`: the
     public surface (``start`` / ``run`` / ``run_until_commits`` / ``stop``,
-    ``min_committed``, the :class:`~repro.runner.live.ClusterView` checks,
-    ``metrics``) mirrors it, so benchmarks and examples switch placement
-    with one constructor.  The differences are inherent to the process
+    ``min_committed``, the
+    :class:`~repro.experiments.scenario.ClusterView` checks, ``metrics``)
+    mirrors it, so benchmarks and examples switch placement with one
+    constructor.  The differences are inherent to the process
     boundary:
 
     * ``metrics`` holds the *merged* cluster-wide collector, and the views
@@ -391,16 +391,6 @@ class ProcessCluster(ClusterView):
                 return
             if not any(worker.alive for worker in self._workers):
                 return  # every worker died; nothing left to wait for
-
-    async def run_until_commits(
-        self, blocks: int, timeout: float, poll: float = 0.02
-    ) -> int:
-        """Run until every ledger holds ``blocks`` commits (or ``timeout``
-        wall seconds); returns the final minimum ledger length."""
-        await self.run(
-            timeout, stop_when=lambda c: c.min_committed() >= blocks, poll=poll
-        )
-        return self.min_committed()
 
     async def stop(self) -> None:
         """Stop every worker, collect reports, and merge the cluster result.

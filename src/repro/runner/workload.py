@@ -347,10 +347,10 @@ _LOADS = {"open": OpenLoopLoad, "closed": ClosedLoopLoad}
 def attach_workload(replica, workload: WorkloadConfig) -> None:
     """Wire one replica for the client workload (no-op if ``workload`` is None).
 
-    Called from every builder that constructs replicas — ``build_scenario``
-    (sim), ``_make_replica`` (in-memory live, TCP, and the spawned workers
-    of a multi-process cluster) — so all four execution lanes run the same
-    client path.  Every replica gets the state machine; only the replicas
+    Called from ``_make_replica`` in ``repro.experiments.scenario``,
+    the one replica builder of the simulator, in-memory live, TCP and the
+    spawned workers of a multi-process cluster, so all four execution
+    lanes run the same client path.  Every replica gets the state machine; only the replicas
     ``workload.client_pids`` selects also get a gateway and generator.
     """
     if workload is None:
@@ -375,20 +375,3 @@ def attach_workload(replica, workload: WorkloadConfig) -> None:
     replica.clients = load_factory(replica, gateway, workload)
     replica.gateway = gateway
 
-
-def kv_state_digests(replicas) -> dict[int, str]:
-    """Per-replica KV state digests (replicas without a state machine skipped)."""
-    return {
-        replica.pid: replica.state_machine.digest()
-        for replica in replicas
-        if getattr(replica, "state_machine", None) is not None
-    }
-
-
-def kv_apply_chains(replicas) -> dict[int, tuple[str, ...]]:
-    """Per-replica apply chains, for prefix-consistency checks."""
-    return {
-        replica.pid: replica.state_machine.apply_chain
-        for replica in replicas
-        if getattr(replica, "state_machine", None) is not None
-    }

@@ -135,7 +135,10 @@ class _LoopTimerHandle:
         return not self.cancelled and not self.fired
 
     def _run(self, runtime: "AsyncioRuntime", callback: Callable[..., None], args: tuple) -> None:
-        if self.cancelled:
+        # A stopped runtime fires nothing: a replica timer firing after
+        # stop() would send through the stopped transport and respawn its
+        # writer tasks, which then retry the stopped peers indefinitely.
+        if self.cancelled or runtime._stopping:
             return
         self.fired = True
         self._loop_handle = None
@@ -396,7 +399,8 @@ class AsyncioRuntime(Runtime):
         asyncio.run(self.run(until=until, max_events=max_events))
 
     async def stop(self) -> None:
-        """Stop a wall-mode run loop and shut the transport down."""
+        """Stop a wall-mode run loop and shut the transport down; pending
+        wall-mode timers stay silent from here on."""
         self._stopping = True
         await self.transport.stop()
 
